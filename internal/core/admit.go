@@ -56,68 +56,80 @@ func Admit(orig *Problem, prev *Result, newTCT []*model.Stream, newECT []*model.
 		return nil, err
 	}
 
-	// Seed the placer with the deployed slots, frozen in place.
-	p := &placer{
-		inst:   inst,
-		placed: make(map[model.LinkID][]placedSlot),
-		vphi:   make(map[frameKey]int64),
+	// Seed the slot table with the deployed slots, frozen in place.
+	t := newSlotTable(inst)
+	streamIdx := make(map[model.StreamID]int, len(inst.streams))
+	for i, s := range inst.streams {
+		streamIdx[s.ID] = i
 	}
-	frozen := make(map[model.StreamID]bool, len(prev.Schedule.Streams))
-	streamsByID := make(map[model.StreamID]*model.Stream, len(inst.streams))
-	for _, s := range inst.streams {
-		streamsByID[s.ID] = s
-	}
+	frozen := make([]bool, len(inst.streams))
 	for id := range prev.Schedule.Streams {
-		frozen[id] = true
-		if _, ok := streamsByID[id]; !ok {
+		si, ok := streamIdx[id]
+		if !ok {
 			return nil, fmt.Errorf("%w: deployed stream %q absent from the original problem",
 				ErrInvalidProblem, id)
 		}
+		frozen[si] = true
 	}
 	for _, lid := range prev.Schedule.Links() {
 		for _, fs := range prev.Schedule.SlotsOn(lid) {
-			s, ok := streamsByID[fs.Stream]
+			si, ok := streamIdx[fs.Stream]
 			if !ok {
 				return nil, fmt.Errorf("%w: deployed slot of unknown stream %q", ErrInvalidProblem, fs.Stream)
 			}
-			p.vphi[frameKey{stream: fs.Stream, link: lid, index: fs.Index}] = fs.VirtualOffset()
-			p.placed[lid] = append(p.placed[lid], placedSlot{
+			// A deployed slot off its stream's path, or beyond the frame
+			// count the combined instance gives that hop, means the
+			// additions changed the reservation structure.
+			h := inst.hopOn(si, lid)
+			if h == nil || fs.Index < 0 || fs.Index >= h.count {
+				return nil, fmt.Errorf("%w: deployed slot %d of stream %q on %s has no place in the combined instance",
+					ErrNeedsReplan, fs.Index, fs.Stream, lid)
+			}
+			t.vphi[h.base+fs.Index] = fs.VirtualOffset()
+			t.placed[h.link] = append(t.placed[h.link], placedSlot{
 				offset:  fs.Offset,
 				length:  fs.Length,
 				period:  fs.Period,
-				stream:  s,
+				stream:  inst.streams[si],
 				reserve: fs.Reserve,
 			})
 		}
 	}
 	// Deployed frame counts must match the combined instance (they do, as
 	// long as the additions did not change reservation structure).
-	for id := range frozen {
-		s := streamsByID[id]
-		for _, lid := range s.Path {
-			want := inst.frames[id][lid]
-			got := len(prev.Schedule.StreamSlots(id, lid))
-			if want != got {
+	for si, s := range inst.streams {
+		if !frozen[si] {
+			continue
+		}
+		for _, h := range inst.hops[si] {
+			if got := len(prev.Schedule.StreamSlots(s.ID, h.lid)); got != h.count {
 				return nil, fmt.Errorf("%w: stream %q needs %d slots on %s but %d are deployed",
-					ErrNeedsReplan, id, want, lid, got)
+					ErrNeedsReplan, s.ID, h.count, h.lid, got)
 			}
 		}
 	}
 
 	// Place only the new streams, in the standard order.
-	var fresh []*model.Stream
-	for _, s := range placementOrder(inst.streams) {
-		if !frozen[s.ID] {
-			fresh = append(fresh, s)
+	var fresh []int
+	for _, si := range placementOrder(inst.streams) {
+		if !frozen[si] {
+			fresh = append(fresh, si)
 		}
 	}
-	if err := p.placeAll(fresh, opts.SpreadFrames); err != nil {
+	if err := t.placeAll(fresh, opts.SpreadFrames); err != nil {
 		return nil, err
 	}
+	return t.result(BackendPlacer), nil
+}
 
-	res := extractSchedule(inst, func(k frameKey) int64 { return p.vphi[k] })
-	res.BackendUsed = BackendPlacer
-	return res, nil
+// hopOn finds stream si's hop on a link, or nil when its path avoids it.
+func (inst *instance) hopOn(si int, lid model.LinkID) *hop {
+	for i := range inst.hops[si] {
+		if inst.hops[si][i].lid == lid {
+			return &inst.hops[si][i]
+		}
+	}
+	return nil
 }
 
 // SlotsUnchanged reports whether every slot of prev appears identically in

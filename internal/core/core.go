@@ -444,6 +444,33 @@ type instance struct {
 	propUnits map[model.LinkID]int64
 	// hyper is the schedule hyperperiod in units.
 	hyper int64
+	// linkIdx numbers the links any stream crosses densely, in first-seen
+	// order; hops[i] lays streams[i]'s path out over them and nFrames
+	// counts every frame of the instance. Together they are the slot
+	// table's index layout.
+	linkIdx map[model.LinkID]int
+	hops    [][]hop
+	nFrames int
+}
+
+// hop is one link of a stream's path, resolved once so the placers' inner
+// loops index slices instead of hashing stream and link IDs.
+type hop struct {
+	lid   model.LinkID
+	link  int // dense link index (instance.linkIdx)
+	count int // |F_{s,link}| after prudent reservation
+	base  int // slot-table index of the hop's frame 0
+	// tx and lastTx are the full-MTU and final-fragment transmission
+	// times, prop the link's propagation delay, all in units.
+	tx, lastTx, prop int64
+}
+
+// frameLen is instance.frameLen for a resolved hop.
+func (h *hop) frameLen(s *model.Stream, j int) int64 {
+	if j == s.Frames()-1 {
+		return h.lastTx
+	}
+	return h.tx
 }
 
 // buildInstance validates the problem, expands ECT streams, runs prudent
@@ -519,6 +546,8 @@ func buildInstance(p *Problem, opts Options) (*instance, error) {
 		otFloorUnits: make(map[model.StreamID]int64, len(streams)),
 		e2eUnits:     make(map[model.StreamID]int64, len(streams)),
 		propUnits:    make(map[model.LinkID]int64),
+		linkIdx:      make(map[model.LinkID]int),
+		hops:         make([][]hop, 0, len(streams)),
 	}
 
 	// Frame counts: base counts, then prudent reservation (Alg. 1).
@@ -565,14 +594,23 @@ func buildInstance(p *Problem, opts Options) (*instance, error) {
 		tx := make(map[model.LinkID]int64, len(s.Path))
 		lastTx := make(map[model.LinkID]int64, len(s.Path))
 		lastBytes := s.LengthBytes - (s.Frames()-1)*model.MTUBytes
+		hops := make([]hop, 0, len(s.Path))
 		for _, lid := range s.Path {
 			link, _ := p.Network.LinkByID(lid)
-			tx[lid] = link.TxUnits(model.MTUBytes)
-			lastTx[lid] = link.TxUnits(lastBytes)
-			inst.propUnits[lid] = link.PropUnits()
+			li, ok := inst.linkIdx[lid]
+			if !ok {
+				li = len(inst.linkIdx)
+				inst.linkIdx[lid] = li
+			}
+			h := hop{lid: lid, link: li, count: inst.frames[s.ID][lid], base: inst.nFrames,
+				tx: link.TxUnits(model.MTUBytes), lastTx: link.TxUnits(lastBytes), prop: link.PropUnits()}
+			tx[lid], lastTx[lid], inst.propUnits[lid] = h.tx, h.lastTx, h.prop
+			inst.nFrames += h.count
+			hops = append(hops, h)
 		}
 		inst.txUnits[s.ID] = tx
 		inst.lastTxUnits[s.ID] = lastTx
+		inst.hops = append(inst.hops, hops)
 	}
 	return inst, nil
 }
@@ -643,6 +681,20 @@ func slotsCanOverlap(a, b *model.Stream, aReserve, bReserve, sharedReserves bool
 	return sharedReserves && aReserve && bReserve && a.Parent == b.Parent &&
 		a.Type == model.StreamDet && a.Share &&
 		b.Type == model.StreamDet && b.Share
+}
+
+// upstreamIndex maps frame j of a hop carrying count frames to the frame of
+// the upstream hop (cUp frames) it must wait for, constraint (7): prudent
+// reservation can leave the two hops with different counts, so indexes
+// shift by o = max(cUp - count, 0) and clamp to the last upstream frame.
+func upstreamIndex(j, count, cUp int) int {
+	if cUp > count {
+		j += cUp - count
+	}
+	if j >= cUp {
+		return cUp - 1
+	}
+	return j
 }
 
 // isReserveIndex reports whether frame j of a stream on a link is reserve

@@ -24,10 +24,10 @@ import (
 // backend the options select), the per-component plans are merged, and the
 // merged plan is re-checked by the independent verifier before it is
 // accepted. Solving k balanced components in place of one monolithic
-// instance cuts every superlinear term — the heuristics' O(n²) pairwise
-// conflict seeding, the SMT emission's pairwise overlap constraints — by a
-// factor of k even on a single CPU, on top of the wall-clock win from
-// solving components in parallel.
+// instance cuts a superlinear term — the SMT emission's pairwise overlap
+// constraints — by a factor of k even on a single CPU. The placers and the
+// chain heuristics' conflict seeding are link-local and linear already, so
+// for them decomposition only adds per-component setup and the merge.
 
 // component is one connected component of the stream conflict graph, in
 // deterministic order (components sorted by their smallest link index in

@@ -7,117 +7,77 @@ import (
 	"etsn/internal/model"
 )
 
-// alapPlacer is the greedy as-late-as-possible backend: streams are taken
-// in the same deterministic order as the first-fit placer, but each
-// stream's frames are committed in *reverse* path and index order, pushed
-// as close to their deadlines as the already-committed reservations allow.
-// Packing against the deadline leaves the front of every period free,
-// which is exactly where later (tighter-period) streams and event
-// possibilities need room; the survey literature reports ALAP variants
-// closing instances first-fit ASAP cannot. Like the first-fit placer it is
-// sound but incomplete: failures are give-ups, not infeasibility proofs.
-type alapPlacer struct {
-	inst   *instance
-	placed map[model.LinkID][]placedSlot
-	vphi   map[frameKey]int64
-}
-
-// solveGreedy schedules the instance with the ALAP greedy placer.
+// solveGreedy schedules the instance with the greedy as-late-as-possible
+// placer: streams are taken in the same deterministic order as the
+// first-fit placer, but each stream's frames are committed in *reverse*
+// path and index order, pushed as close to their deadlines as the
+// already-committed reservations allow. Packing against the deadline leaves
+// the front of every period free, which is exactly where later
+// (tighter-period) streams and event possibilities need room; the survey
+// literature reports ALAP variants closing instances first-fit ASAP cannot.
+// Like the first-fit placer it is sound but incomplete: failures are
+// give-ups, not infeasibility proofs.
 func solveGreedy(ctx context.Context, inst *instance) (*Result, error) {
 	sp := inst.opts.Phases.Begin("place-alap")
 	defer sp.End()
-	g := &alapPlacer{
-		inst:   inst,
-		placed: make(map[model.LinkID][]placedSlot),
-		vphi:   make(map[frameKey]int64),
-	}
-	for _, s := range placementOrder(inst.streams) {
+	t := newSlotTable(inst)
+	for _, si := range placementOrder(inst.streams) {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("%w: greedy: %v", ErrBudget, err)
 		}
-		if err := g.placeStream(s); err != nil {
+		if err := t.placeStreamLatest(si); err != nil {
 			return nil, err
 		}
 	}
-	res := extractSchedule(inst, func(k frameKey) int64 { return g.vphi[k] })
-	res.BackendUsed = BackendGreedy
-	return res, nil
+	return t.result(BackendGreedy), nil
 }
 
-func (g *alapPlacer) placeStream(s *model.Stream) error {
-	inst := g.inst
-	t := inst.periodUnits[s.ID]
+func (t *slotTable) placeStreamLatest(si int) error {
+	inst, s, hops := t.inst, t.inst.streams[si], t.inst.hops[si]
+	period := inst.periodUnits[s.ID]
 	mins := chainMins(inst, s)
 	// The deadline anchor: a probabilistic stream must deliver within its
 	// budget measured from the floored occurrence time; a deterministic
 	// stream's budget is anchored at its earliest possible start, so the
-	// post-hoc end-to-end check below can only fail when conflicts push
-	// the first frame earlier than that chain minimum.
+	// end-to-end check below can only fail when conflicts push the first
+	// frame earlier than that chain minimum.
 	var deadline int64
 	if s.Type == model.StreamProb {
 		deadline = inst.otFloorUnits[s.ID] + inst.e2eUnits[s.ID]
 	} else {
 		deadline = mins[frameKey{stream: s.ID, link: s.Path[0], index: 0}] + inst.e2eUnits[s.ID]
 	}
-	for li := len(s.Path) - 1; li >= 0; li-- {
-		lid := s.Path[li]
-		count := inst.frames[s.ID][lid]
-		for j := count - 1; j >= 0; j-- {
-			l := inst.frameLen(s, lid, j)
+	for li := len(hops) - 1; li >= 0; li-- {
+		h := &hops[li]
+		for j := h.count - 1; j >= 0; j-- {
+			l := h.frameLen(s, j)
 			ub := deadline - l
 			// (3) sequencing against the next frame on the same link.
-			if j < count-1 {
-				ub = minI64(ub, g.vphi[frameKey{stream: s.ID, link: lid, index: j + 1}]-l)
+			if j < h.count-1 {
+				ub = min(ub, t.vphi[h.base+j+1]-l)
 			}
 			// (7) adjacency against every downstream frame this one feeds
 			// (prudent-reservation index shift, same mapping as forward).
-			if li < len(s.Path)-1 {
-				down := s.Path[li+1]
-				cDown := inst.frames[s.ID][down]
-				o := count - cDown
-				if o < 0 {
-					o = 0
-				}
-				for dj := 0; dj < cDown; dj++ {
-					upIdx := dj + o
-					if upIdx >= count {
-						upIdx = count - 1
+			if li < len(hops)-1 {
+				down := &hops[li+1]
+				for dj := 0; dj < down.count; dj++ {
+					if upstreamIndex(dj, down.count, h.count) == j {
+						ub = min(ub, t.vphi[down.base+dj]-l-h.prop)
 					}
-					if upIdx != j {
-						continue
-					}
-					arr := g.vphi[frameKey{stream: s.ID, link: down, index: dj}] - l - inst.propUnits[lid]
-					ub = minI64(ub, arr)
 				}
 			}
-			lb := mins[frameKey{stream: s.ID, link: lid, index: j}]
-			reserve := inst.isReserveIndex(s, j)
-			v, ok := g.findSlotLatest(lid, s, reserve, lb, ub, l, t)
+			lb := mins[frameKey{stream: s.ID, link: h.lid, index: j}]
+			v, ok := t.findSlotLatest(h.link, s, inst.isReserveIndex(s, j), lb, ub, l, period)
 			if !ok {
-				return &PlaceFailure{Stream: s.ID, Frame: j, Link: lid,
+				return &PlaceFailure{Stream: s.ID, Frame: j, Link: h.lid,
 					Reason: "no free slot below deadline"}
 			}
-			g.vphi[frameKey{stream: s.ID, link: lid, index: j}] = v
-			g.placed[lid] = append(g.placed[lid], placedSlot{
-				offset: v % t, length: l, period: t, stream: s, reserve: reserve,
-			})
+			t.commit(s, h, j, v, period)
 		}
 	}
-	// (4) end-to-end on the virtual timeline: conflicts may have pushed the
-	// first frame below its chain minimum, stretching the span past the
-	// anchored deadline.
-	lastLink := s.Path[len(s.Path)-1]
-	lastIdx := inst.frames[s.ID][lastLink] - 1
-	end := g.vphi[frameKey{stream: s.ID, link: lastLink, index: lastIdx}] + inst.frameLen(s, lastLink, lastIdx)
-	start := g.vphi[frameKey{stream: s.ID, link: s.Path[0], index: 0}]
-	if s.Type == model.StreamProb {
-		start = inst.otFloorUnits[s.ID]
-	}
-	if end-start > inst.e2eUnits[s.ID] {
-		return &PlaceFailure{Stream: s.ID, Link: lastLink,
-			Reason: fmt.Sprintf("end-to-end %d units exceeds bound %d", end-start, inst.e2eUnits[s.ID])}
-	}
-	return nil
+	// Conflicts may have pushed the first frame below its chain minimum,
+	// stretching the span past the anchored deadline.
+	return t.checkE2E(si)
 }
 
 // findSlotLatest returns the latest virtual time v in [lb, ub] such that
@@ -125,7 +85,7 @@ func (g *alapPlacer) placeStream(s *model.Stream) error {
 // reservation on the link and the slot does not straddle a period
 // boundary. It scans downward and gives up after a full period without a
 // fit (mirroring findSlot's upward scan).
-func (g *alapPlacer) findSlotLatest(lid model.LinkID, s *model.Stream, reserve bool, lb, ub, length, period int64) (int64, bool) {
+func (t *slotTable) findSlotLatest(link int, s *model.Stream, reserve bool, lb, ub, length, period int64) (int64, bool) {
 	v := ub
 	for {
 		if v < lb || ub-v > period {
@@ -137,28 +97,7 @@ func (g *alapPlacer) findSlotLatest(lid model.LinkID, s *model.Stream, reserve b
 			v -= off - (period - length)
 			continue
 		}
-		prev := off
-		for _, ps := range g.placed[lid] {
-			if slotsCanOverlap(s, ps.stream, reserve, ps.reserve, g.inst.opts.SharedReserves) {
-				continue
-			}
-			hyper := model.LCM(period, ps.period)
-			for x := int64(0); x < hyper/period; x++ {
-				a0 := off + x*period
-				a1 := a0 + length
-				for y := int64(0); y < hyper/ps.period; y++ {
-					b0 := ps.offset + y*ps.period
-					be := b0 + ps.length
-					if a0 < be && b0 < a1 {
-						// Clear this busy instance: shift so that our
-						// instance x ends at its start.
-						if cand := b0 - x*period - length; cand < prev {
-							prev = cand
-						}
-					}
-				}
-			}
-		}
+		_, prev := t.clearOffsets(link, s, reserve, off, length, period)
 		if prev == off {
 			return v, true
 		}
@@ -183,31 +122,16 @@ func chainMins(inst *instance, s *model.Stream) map[frameKey]int64 {
 				lb = inst.otUnits[s.ID]
 			}
 			if j > 0 {
-				lb = maxI64(lb, mins[frameKey{stream: s.ID, link: lid, index: j - 1}]+inst.frameLen(s, lid, j-1))
+				lb = max(lb, mins[frameKey{stream: s.ID, link: lid, index: j - 1}]+inst.frameLen(s, lid, j-1))
 			}
 			if li > 0 {
 				up := s.Path[li-1]
-				cUp := inst.frames[s.ID][up]
-				o := cUp - count
-				if o < 0 {
-					o = 0
-				}
-				upIdx := j + o
-				if upIdx >= cUp {
-					upIdx = cUp - 1
-				}
+				upIdx := upstreamIndex(j, count, inst.frames[s.ID][up])
 				arr := mins[frameKey{stream: s.ID, link: up, index: upIdx}] + inst.frameLen(s, up, upIdx) + inst.propUnits[up]
-				lb = maxI64(lb, arr)
+				lb = max(lb, arr)
 			}
 			mins[frameKey{stream: s.ID, link: lid, index: j}] = lb
 		}
 	}
 	return mins
-}
-
-func minI64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

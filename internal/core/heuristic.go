@@ -142,12 +142,16 @@ func buildHeurState(inst *instance) (*heurState, error) {
 	}
 	h.conf = make([]int, len(h.chains))
 	h.scratch = make([]int, len(h.chains))
+	// Only chains sharing a link can conflict, so seed from the per-link
+	// index instead of all pairs.
 	for i := range h.chains {
-		for j := i + 1; j < len(h.chains); j++ {
-			n := h.pairConf(i, j)
-			h.conf[i] += n
-			h.conf[j] += n
-			h.total += n
+		for _, j := range h.others(i) {
+			if j > i {
+				n := h.pairConf(i, j)
+				h.conf[i] += n
+				h.conf[j] += n
+				h.total += n
+			}
 		}
 	}
 	return h, nil
@@ -290,7 +294,7 @@ func (h *heurState) extract(backend Backend) *Result {
 			vphi[sl.key] = sl.base + c.delta
 		}
 	}
-	res := extractSchedule(h.inst, func(k frameKey) int64 { return vphi[k] })
+	res := extractSchedule(h.inst, func(_ int, k frameKey) int64 { return vphi[k] })
 	res.BackendUsed = backend
 	return res
 }

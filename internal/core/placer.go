@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sort"
 
 	"etsn/internal/model"
@@ -18,58 +17,99 @@ type placedSlot struct {
 	reserve bool
 }
 
-// placer is a deterministic first-fit scheduler: it processes streams in a
-// fixed order (TCT by ascending period, then probabilistic streams by parent
-// and occurrence time) and places each frame at the earliest *virtual* time
-// (an unrolled timeline that may wrap past period boundaries) satisfying
-// constraints (1)-(4) and (7), skipping over conflicting reservations per
-// constraint (5). Wrapping gives late possibilities a pipeline into the next
-// period, which the paper's strict formulation cannot express; the slot's
-// Epoch field records the shift. The placer is sound (the verifier re-checks
-// its output) but incomplete: on failure the caller can fall back to SMT.
-type placer struct {
+// slotTable is the placement state the first-fit placer, the ALAP placer
+// and Admit share: the reservations committed on each link, by dense link
+// index (instance.linkIdx), and every frame's virtual start time, by
+// hop.base + frame index. Both are sized once from the instance's layout.
+type slotTable struct {
 	inst   *instance
-	placed map[model.LinkID][]placedSlot
-	vphi   map[frameKey]int64 // virtual start times
+	placed [][]placedSlot
+	vphi   []int64
 }
 
-// solvePlacer schedules the instance with the first-fit placer.
+func newSlotTable(inst *instance) *slotTable {
+	return &slotTable{
+		inst:   inst,
+		placed: make([][]placedSlot, len(inst.linkIdx)),
+		vphi:   make([]int64, inst.nFrames),
+	}
+}
+
+// commit reserves frame j of stream s on hop h at virtual time v.
+func (t *slotTable) commit(s *model.Stream, h *hop, j int, v, period int64) {
+	t.vphi[h.base+j] = v
+	t.placed[h.link] = append(t.placed[h.link], placedSlot{
+		offset: v % period, length: h.frameLen(s, j), period: period,
+		stream: s, reserve: t.inst.isReserveIndex(s, j),
+	})
+}
+
+// checkE2E is constraint (4) on the virtual timeline, including the last
+// frame's transmission time.
+func (t *slotTable) checkE2E(si int) error {
+	inst, s, hops := t.inst, t.inst.streams[si], t.inst.hops[si]
+	last := &hops[len(hops)-1]
+	end := t.vphi[last.base+last.count-1] + last.frameLen(s, last.count-1)
+	start := t.vphi[hops[0].base]
+	if s.Type == model.StreamProb {
+		start = inst.otFloorUnits[s.ID]
+	}
+	if end-start > inst.e2eUnits[s.ID] {
+		return &PlaceFailure{Stream: s.ID, Link: last.lid,
+			Reason: fmt.Sprintf("end-to-end %d units exceeds bound %d", end-start, inst.e2eUnits[s.ID])}
+	}
+	return nil
+}
+
+// solvePlacer schedules the instance with the deterministic first-fit
+// placer: it processes streams in a fixed order (TCT by ascending period,
+// then probabilistic streams by parent and occurrence time) and places each
+// frame at the earliest *virtual* time (an unrolled timeline that may wrap
+// past period boundaries) satisfying constraints (1)-(4) and (7), skipping
+// over conflicting reservations per constraint (5). Wrapping gives late
+// possibilities a pipeline into the next period, which the paper's strict
+// formulation cannot express; the slot's Epoch field records the shift. The
+// placer is sound (the verifier re-checks its output) but incomplete: on
+// failure the caller can fall back to SMT.
 func solvePlacer(inst *instance) (*Result, error) {
 	sp := inst.opts.Phases.Begin("place")
 	defer sp.End()
-	p := &placer{
-		inst:   inst,
-		placed: make(map[model.LinkID][]placedSlot),
-		vphi:   make(map[frameKey]int64),
-	}
+	t := newSlotTable(inst)
 	order := placementOrder(inst.streams)
-	if err := p.placeAll(order, inst.opts.SpreadFrames); err != nil {
+	if err := t.placeAll(order, inst.opts.SpreadFrames); err != nil {
 		if !inst.opts.SpreadFrames {
 			return nil, err
 		}
 		// Spread placement fragments congested links; restart the whole
 		// placement ASAP before declaring infeasibility.
-		p.placed = make(map[model.LinkID][]placedSlot)
-		p.vphi = make(map[frameKey]int64)
-		if err := p.placeAll(order, false); err != nil {
+		t = newSlotTable(inst)
+		if err := t.placeAll(order, false); err != nil {
 			return nil, err
 		}
 	}
-	res := extractSchedule(inst, func(k frameKey) int64 { return p.vphi[k] })
-	res.BackendUsed = BackendPlacer
-	return res, nil
+	return t.result(BackendPlacer), nil
 }
 
-// placementOrder sorts streams for first-fit placement: deterministic TCT
-// streams first (ascending period, so tightly repeating streams grab the
-// grid early; within a period class, bulkier messages first — first-fit
-// decreasing packs fragmented links far better), then probabilistic streams
-// grouped by parent in occurrence order so consecutive possibilities can
-// stack onto the same slots.
-func placementOrder(streams []*model.Stream) []*model.Stream {
-	out := append([]*model.Stream(nil), streams...)
+// result materializes the table's assignment.
+func (t *slotTable) result(b Backend) *Result {
+	res := extractSchedule(t.inst, func(f int, _ frameKey) int64 { return t.vphi[f] })
+	res.BackendUsed = b
+	return res
+}
+
+// placementOrder sorts stream indices for first-fit placement:
+// deterministic TCT streams first (ascending period, so tightly repeating
+// streams grab the grid early; within a period class, bulkier messages
+// first — first-fit decreasing packs fragmented links far better), then
+// probabilistic streams grouped by parent in occurrence order so
+// consecutive possibilities can stack onto the same slots.
+func placementOrder(streams []*model.Stream) []int {
+	out := make([]int, len(streams))
+	for i := range out {
+		out[i] = i
+	}
 	sort.SliceStable(out, func(i, j int) bool {
-		a, b := out[i], out[j]
+		a, b := streams[out[i]], streams[out[j]]
 		if (a.Type == model.StreamProb) != (b.Type == model.StreamProb) {
 			return a.Type != model.StreamProb
 		}
@@ -90,15 +130,26 @@ func placementOrder(streams []*model.Stream) []*model.Stream {
 	return out
 }
 
-// placeAll places every stream in order, per-stream falling back from
-// spread to ASAP placement before failing.
-func (p *placer) placeAll(order []*model.Stream, spread bool) error {
-	for _, s := range order {
-		marks := p.mark()
-		err := p.placeStream(s, spread)
+// placeAll places the streams order indexes, per-stream falling back from
+// spread to ASAP placement before failing. Only a spread attempt can be
+// abandoned half-committed, so only then is an undo log kept: the slot
+// counts of the links on that one stream's path, truncated on fallback.
+func (t *slotTable) placeAll(order []int, spread bool) error {
+	var undo []int
+	for _, si := range order {
+		hops := t.inst.hops[si]
+		if spread {
+			undo = undo[:0]
+			for i := range hops {
+				undo = append(undo, len(t.placed[hops[i].link]))
+			}
+		}
+		err := t.placeStream(si, spread)
 		if err != nil && spread {
-			p.rollback(marks)
-			err = p.placeStream(s, false)
+			for i := range hops {
+				t.placed[hops[i].link] = t.placed[hops[i].link][:undo[i]]
+			}
+			err = t.placeStream(si, false)
 		}
 		if err != nil {
 			return err
@@ -107,29 +158,12 @@ func (p *placer) placeAll(order []*model.Stream, spread bool) error {
 	return nil
 }
 
-// mark snapshots per-link reservation counts for rollback.
-func (p *placer) mark() map[model.LinkID]int {
-	m := make(map[model.LinkID]int, len(p.placed))
-	for lid, slots := range p.placed {
-		m[lid] = len(slots)
-	}
-	return m
-}
-
-// rollback truncates reservations added after the snapshot.
-func (p *placer) rollback(marks map[model.LinkID]int) {
-	for lid, slots := range p.placed {
-		p.placed[lid] = slots[:marks[lid]]
-	}
-}
-
-func (p *placer) placeStream(s *model.Stream, spread bool) error {
-	inst := p.inst
-	t := inst.periodUnits[s.ID]
-	for li, lid := range s.Path {
-		count := inst.frames[s.ID][lid]
-		for j := 0; j < count; j++ {
-			l := inst.frameLen(s, lid, j)
+func (t *slotTable) placeStream(si int, spread bool) error {
+	inst, s, hops := t.inst, t.inst.streams[si], t.inst.hops[si]
+	period := inst.periodUnits[s.ID]
+	for li := range hops {
+		h := &hops[li]
+		for j := 0; j < h.count; j++ {
 			lb := int64(0)
 			if li == 0 && j == 0 && s.Type == model.StreamProb {
 				lb = inst.otUnits[s.ID]
@@ -138,53 +172,25 @@ func (p *placer) placeStream(s *model.Stream, spread bool) error {
 				// Stagger streams by a deterministic phase and spread a
 				// stream's frames evenly over its period, mimicking the
 				// dispersed slot layouts SMT solvers produce.
-				lb = maxI64(lb, streamPhase(s.ID, t)+int64(j)*(t/int64(count)))
+				lb = max(lb, streamPhase(s.ID, period)+int64(j)*(period/int64(h.count)))
 			}
 			if j > 0 {
-				prevLen := inst.frameLen(s, lid, j-1)
-				lb = maxI64(lb, p.vphi[frameKey{stream: s.ID, link: lid, index: j - 1}]+prevLen)
+				lb = max(lb, t.vphi[h.base+j-1]+h.frameLen(s, j-1))
 			}
 			if li > 0 {
-				up := s.Path[li-1]
-				cUp := inst.frames[s.ID][up]
-				o := cUp - count
-				if o < 0 {
-					o = 0
-				}
-				upIdx := j + o
-				if upIdx >= cUp {
-					upIdx = cUp - 1
-				}
-				lUp := inst.frameLen(s, up, upIdx)
-				arr := p.vphi[frameKey{stream: s.ID, link: up, index: upIdx}] + lUp + inst.propUnits[up]
-				lb = maxI64(lb, arr)
+				up := &hops[li-1]
+				upIdx := upstreamIndex(j, h.count, up.count)
+				lb = max(lb, t.vphi[up.base+upIdx]+up.frameLen(s, upIdx)+up.prop)
 			}
-			reserve := inst.isReserveIndex(s, j)
-			v, ok := p.findSlot(lid, s, reserve, lb, l, t)
+			v, ok := t.findSlot(h.link, s, inst.isReserveIndex(s, j), lb, h.frameLen(s, j), period)
 			if !ok {
-				return &PlaceFailure{Stream: s.ID, Frame: j, Link: lid,
+				return &PlaceFailure{Stream: s.ID, Frame: j, Link: h.lid,
 					Reason: "no free slot"}
 			}
-			p.vphi[frameKey{stream: s.ID, link: lid, index: j}] = v
-			p.placed[lid] = append(p.placed[lid], placedSlot{
-				offset: v % t, length: l, period: t, stream: s, reserve: reserve,
-			})
+			t.commit(s, h, j, v, period)
 		}
 	}
-	// (4) end-to-end check on the virtual timeline, including the last
-	// frame's transmission time.
-	lastLink := s.Path[len(s.Path)-1]
-	lastIdx := inst.frames[s.ID][lastLink] - 1
-	end := p.vphi[frameKey{stream: s.ID, link: lastLink, index: lastIdx}] + inst.frameLen(s, lastLink, lastIdx)
-	start := p.vphi[frameKey{stream: s.ID, link: s.Path[0], index: 0}]
-	if s.Type == model.StreamProb {
-		start = inst.otFloorUnits[s.ID]
-	}
-	if end-start > inst.e2eUnits[s.ID] {
-		return &PlaceFailure{Stream: s.ID, Link: lastLink,
-			Reason: fmt.Sprintf("end-to-end %d units exceeds bound %d", end-start, inst.e2eUnits[s.ID])}
-	}
-	return nil
+	return t.checkE2E(si)
 }
 
 // PlaceFailure reports which stream the first-fit placer could not fit; it
@@ -215,7 +221,7 @@ func (e *PlaceFailure) Unwrap() error { return ErrInfeasible }
 // periodic instances (at (v mod period) + n·period) do not overlap any
 // incompatible reservation on the link and the slot does not straddle a
 // period boundary. It gives up after scanning one full period without a fit.
-func (p *placer) findSlot(lid model.LinkID, s *model.Stream, reserve bool, lb, length, period int64) (int64, bool) {
+func (t *slotTable) findSlot(link int, s *model.Stream, reserve bool, lb, length, period int64) (int64, bool) {
 	v := lb
 	for {
 		if v-lb > period {
@@ -226,28 +232,7 @@ func (p *placer) findSlot(lid model.LinkID, s *model.Stream, reserve bool, lb, l
 			v += period - off // skip to next period start
 			continue
 		}
-		next := off
-		for _, ps := range p.placed[lid] {
-			if slotsCanOverlap(s, ps.stream, reserve, ps.reserve, p.inst.opts.SharedReserves) {
-				continue
-			}
-			hyper := model.LCM(period, ps.period)
-			for x := int64(0); x < hyper/period; x++ {
-				a0 := off + x*period
-				a1 := a0 + length
-				for y := int64(0); y < hyper/ps.period; y++ {
-					b0 := ps.offset + y*ps.period
-					be := b0 + ps.length
-					if a0 < be && b0 < a1 {
-						// Clear this busy instance: shift so that our
-						// instance x starts at its end.
-						if cand := be - x*period; cand > next {
-							next = cand
-						}
-					}
-				}
-			}
-		}
+		next, _ := t.clearOffsets(link, s, reserve, off, length, period)
 		if next == off {
 			return v, true
 		}
@@ -255,17 +240,41 @@ func (p *placer) findSlot(lid model.LinkID, s *model.Stream, reserve bool, lb, l
 	}
 }
 
+// clearOffsets scans the link's reservations incompatible with a frame of s at
+// periodic offset off, over the pairwise hyperperiod, and returns the
+// offsets that clear every overlapping busy instance: next starts the frame
+// at the latest end among them, prev ends it at the earliest start. Both
+// equal off when nothing overlaps.
+func (t *slotTable) clearOffsets(link int, s *model.Stream, reserve bool, off, length, period int64) (next, prev int64) {
+	next, prev = off, off
+	for _, ps := range t.placed[link] {
+		if slotsCanOverlap(s, ps.stream, reserve, ps.reserve, t.inst.opts.SharedReserves) {
+			continue
+		}
+		hyper := model.LCM(period, ps.period)
+		nx, ny := hyper/period, hyper/ps.period
+		for x := int64(0); x < nx; x++ {
+			a0 := off + x*period
+			a1 := a0 + length
+			for y := int64(0); y < ny; y++ {
+				b0 := ps.offset + y*ps.period
+				be := b0 + ps.length
+				if a0 < be && b0 < a1 {
+					next = max(next, be-x*period)
+					prev = min(prev, b0-x*period-length)
+				}
+			}
+		}
+	}
+	return next, prev
+}
+
 // streamPhase derives a deterministic placement phase in [0, period/2) from
 // the stream ID.
 func streamPhase(id model.StreamID, period int64) int64 {
-	h := fnv.New32a()
-	_, _ = h.Write([]byte(id))
-	return int64(h.Sum32()) % (period/2 + 1)
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
+	h := uint32(2166136261) // FNV-1a, inlined: hash/fnv allocates per call
+	for i := 0; i < len(id); i++ {
+		h = (h ^ uint32(id[i])) * 16777619
 	}
-	return b
+	return int64(h) % (period/2 + 1)
 }

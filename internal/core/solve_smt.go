@@ -78,16 +78,8 @@ func (b *smtBuilder) addStreamConstraints(s *model.Stream) {
 		// index shift o = max(|F_up| - |F_down|, 0).
 		if li > 0 {
 			up := s.Path[li-1]
-			cUp := inst.frames[s.ID][up]
-			o := cUp - count
-			if o < 0 {
-				o = 0
-			}
 			for j := 0; j < count; j++ {
-				upIdx := j + o
-				if upIdx >= cUp {
-					upIdx = cUp - 1
-				}
+				upIdx := upstreamIndex(j, count, inst.frames[s.ID][up])
 				vDown := b.varFor(frameKey{stream: s.ID, link: lid, index: j})
 				vUp := b.varFor(frameKey{stream: s.ID, link: up, index: upIdx})
 				b.solver.AssertGE(vDown, vUp, inst.frameLen(s, up, upIdx)+inst.propUnits[up])
@@ -212,7 +204,7 @@ func solveSMT(ctx context.Context, inst *instance, incremental bool) (*Result, e
 			return nil, wrapSolveErr(merr, "")
 		}
 	}
-	res := extractSchedule(inst, func(k frameKey) int64 {
+	res := extractSchedule(inst, func(_ int, k frameKey) int64 {
 		return m.Value(b.vars[k])
 	})
 	st := b.solver.TotalStats()
@@ -332,25 +324,25 @@ func wrapSolveErr(err error, at model.StreamID) error {
 	}
 }
 
-// extractSchedule materializes a Schedule from a frame-offset assignment.
-func extractSchedule(inst *instance, offset func(frameKey) int64) *Result {
+// extractSchedule materializes a Schedule from a frame-offset assignment;
+// offset receives each frame's slot-table index and its key, for backends
+// that hold their assignment under either.
+func extractSchedule(inst *instance, offset func(f int, k frameKey) int64) *Result {
 	sched := model.NewSchedule()
 	sched.Hyperperiod = model.UnitsToDuration(inst.hyper, inst.unit)
-	for _, s := range inst.streams {
+	for si, s := range inst.streams {
 		sched.AddStream(s)
-		for _, lid := range s.Path {
-			count := inst.frames[s.ID][lid]
-			t := inst.periodUnits[s.ID]
-			for j := 0; j < count; j++ {
-				k := frameKey{stream: s.ID, link: lid, index: j}
-				v := offset(k)
+		t := inst.periodUnits[s.ID]
+		for _, h := range inst.hops[si] {
+			for j := 0; j < h.count; j++ {
+				v := offset(h.base+j, frameKey{stream: s.ID, link: h.lid, index: j})
 				sched.AddSlot(model.FrameSlot{
 					Stream:   s.ID,
-					Link:     lid,
+					Link:     h.lid,
 					Index:    j,
 					Offset:   v % t,
 					Epoch:    v / t,
-					Length:   inst.frameLen(s, lid, j),
+					Length:   h.frameLen(s, j),
 					Period:   t,
 					Priority: s.Priority,
 					Shared:   s.Type == model.StreamDet && s.Share,

@@ -106,10 +106,10 @@ func TestValidateScaleGates(t *testing.T) {
 				Cpus:           1,
 				StreamsPerCell: CorpusStreamsPerCell,
 				Points: []BenchScalePoint{
-					{Family: "tree", Cells: 4, Streams: 200, Components: 4,
-						MonoWallUs: 1000, DecompWallUs: 1500, Verified: true, PlansIdentical: true},
+					{Family: "tree", Cells: 22, Streams: 1100, Components: 22,
+						MonoWallUs: 25_000, DecompWallUs: 35_000, Verified: true, PlansIdentical: true},
 					{Family: "tree", Cells: 44, Streams: 2200, Components: 44,
-						MonoWallUs: 200_000, DecompWallUs: 120_000, Verified: true, PlansIdentical: true},
+						MonoWallUs: 50_000, DecompWallUs: 70_000, Verified: true, PlansIdentical: true},
 				},
 				SingleComponent: BenchScaleSingle{Streams: 48, Components: 1, Identical: true},
 			},
@@ -127,7 +127,8 @@ func TestValidateScaleGates(t *testing.T) {
 		{"diverged", func(a *BenchArtifact) { a.Scale.Points[1].PlansIdentical = false }, "diverged"},
 		{"monolithic component", func(a *BenchArtifact) { a.Scale.Points[0].Components = 1 }, "must decompose"},
 		{"too small", func(a *BenchArtifact) { a.Scale.Points[1].Streams = 1999 }, "tops out"},
-		{"no speedup", func(a *BenchArtifact) { a.Scale.Points[1].DecompWallUs = 300_000 }, "not below monolithic"},
+		{"superlinear", func(a *BenchArtifact) { a.Scale.Points[1].MonoWallUs = 75_000 }, "superlinear placement"},
+		{"no half-size point", func(a *BenchArtifact) { a.Scale.Points[0].Streams = 1000 }, "no point at half"},
 		{"control split", func(a *BenchArtifact) { a.Scale.SingleComponent.Components = 2 }, "want 1"},
 		{"control diverged", func(a *BenchArtifact) { a.Scale.SingleComponent.Identical = false }, "differ"},
 	}
@@ -141,5 +142,36 @@ func TestValidateScaleGates(t *testing.T) {
 		if !strings.Contains(err.Error(), tc.want) {
 			t.Fatalf("%s: error %q does not mention %q", tc.name, err, tc.want)
 		}
+	}
+}
+
+// TestPlanFingerprintsPinned pins the placer's plans to the values the
+// commit before the slot-table refactor produced: placer bookkeeping may
+// change, first-fit order and every offset may not. Both corpus families
+// hash alike because the traffic is cell-local and identically seeded, and
+// the fingerprint does not cover the topology.
+func TestPlanFingerprintsPinned(t *testing.T) {
+	for _, family := range CorpusFamilies {
+		_, fp, _, err := corpusSolve(family, 44, DefaultSeed, false)
+		if err != nil {
+			t.Fatalf("%s/44: %v", family, err)
+		}
+		if want := "91eb59eb66879441"; fp != want {
+			t.Errorf("%s/44 fingerprint %s, want %s", family, fp, want)
+		}
+	}
+	// Spread placement with shared reserves on the dense Sec. VI-C instance:
+	// every stream is placed with the undo log armed and ~80 slots per link
+	// to scan.
+	scen, err := NewSimulationScenario(0.75, 5, 1, DefaultSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := core.Schedule(scen.Problem().Core())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := PlanFingerprint(res), "ba3a39b83a81cbef"; got != want {
+		t.Errorf("dense spread fingerprint %s, want %s", got, want)
 	}
 }
