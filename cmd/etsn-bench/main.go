@@ -14,7 +14,7 @@
 //	etsn-bench [-experiment all|headline|fig11|fig12|fig14|fig15|fig16]
 //	           [-duration 4s] [-seed 60802] [-parallel N]
 //	           [-engine seq|shard] [-shards N]
-//	           [-backend auto|placer|greedy|tabu|anneal|smt|smt-incremental|race]
+//	           [-backend auto|placer|greedy|anneal|smt|smt-incremental|cascade]
 //	           [-backend-compare]
 //	           [-compare-sequential] [-attrib]
 //	           [-metrics out.prom] [-trace-phases out.trace.json]
@@ -60,12 +60,13 @@
 // serving until SIGINT/SIGTERM, then drains gracefully.
 //
 // -backend NAME plans every simulation with that scheduling backend
-// (default auto: placer with exact-SMT fallback; "race" runs them all
-// concurrently and takes the first verified plan in priority order).
+// (default auto: placer with exact-SMT fallback; "cascade" runs the
+// backends one at a time in priority order and stops at the first verified
+// plan).
 // -backend-compare appends a per-backend comparison section (schedulable
 // ratio and solve wall over the load grid) to the fig11 and fig14 tables.
 // The "backends" experiment benchmarks every backend standalone plus the
-// race over the fig11 load grid and emits BENCH_backends.json, gated by
+// cascade over the fig11 load grid and emits BENCH_backends.json, gated by
 // -check-bench (see bench/BENCH_backends.json).
 package main
 
@@ -114,7 +115,7 @@ func run(args []string, w io.Writer) error {
 	history := fs.String("history", "", "append one {experiment, wall_ms, parallel, seed} JSON line per run to this file")
 	engine := fs.String("engine", "", "simulation engine for every run: seq (default) or shard (conservative-parallel, internal/psim)")
 	shards := fs.Int("shards", 0, "shard count for -engine shard (0 = GOMAXPROCS)")
-	backendName := fs.String("backend", "", "scheduling backend for every plan: auto (default), placer, greedy, tabu, anneal, smt, smt-incremental, or race")
+	backendName := fs.String("backend", "", "scheduling backend for every plan: auto (default), placer, greedy, anneal, smt, smt-incremental, or cascade")
 	decompose := fs.Bool("decompose", false, "split every E-TSN solve into conflict-graph components solved independently and merged")
 	backendCompare := fs.Bool("backend-compare", false, "append a per-backend comparison section to the fig11/fig14 tables (walls are not byte-stable)")
 	trend := fs.String("trend", "", "analyze a wall-time history file (bench/history.jsonl) for regressions and exit")
@@ -140,8 +141,8 @@ func run(args []string, w io.Writer) error {
 			fmt.Fprintf(w, "%s: valid bench artifact (%s, wall %dms, %d smt classes)\n",
 				*checkBench, a.Experiment, a.WallMs, len(a.SMT))
 		} else if a.Backends != nil {
-			fmt.Fprintf(w, "%s: valid bench artifact (%s, wall %dms, %d backend points, %d races)\n",
-				*checkBench, a.Experiment, a.WallMs, len(a.Backends.Points), len(a.Backends.Races))
+			fmt.Fprintf(w, "%s: valid bench artifact (%s, wall %dms, %d backend points, %d cascades)\n",
+				*checkBench, a.Experiment, a.WallMs, len(a.Backends.Points), len(a.Backends.Cascades))
 		} else {
 			fmt.Fprintf(w, "%s: valid bench artifact (%s, wall %dms, %d events)\n",
 				*checkBench, a.Experiment, a.WallMs, a.Sim.Events)

@@ -7,7 +7,7 @@
 //
 //	etsn-sched -config network.json [-out deployment.json] [-quiet] [-v]
 //	           [-parallel N] [-bounds bounds.json]
-//	           [-backend auto|placer|greedy|tabu|anneal|smt|smt-incremental|race]
+//	           [-backend auto|placer|greedy|anneal|smt|smt-incremental|cascade]
 //	           [-metrics out.prom] [-trace-phases out.trace.json]
 //	           [-pprof cpu=FILE|mem=FILE|HOST:PORT]
 //	           [-dash HOST:PORT]
@@ -23,9 +23,9 @@
 // overrides the configuration's options.portfolio.
 //
 // -backend selects the scheduling backend, overriding the configuration's
-// options.backend: the first-fit or ALAP-greedy placer, the tabu or
-// annealing phase-shift search, the exact SMT solvers, or "race" — all of
-// them concurrently, first verified plan in priority order wins.
+// options.backend: the first-fit or ALAP-greedy placer, the annealing
+// phase-shift search, the exact SMT solvers, or "cascade" — those one at a
+// time in priority order, stopping at the first verified plan.
 //
 // -bounds FILE writes the analytic per-stream worst-case latencies as
 // JSON ({"stream": nanoseconds}), the same bounds the simulator scores
@@ -69,7 +69,7 @@ func run(args []string) error {
 	tracePhases := fs.String("trace-phases", "", "write a Chrome trace_event JSON file of planner phases")
 	pprofSpec := fs.String("pprof", "", "profiling: cpu=FILE, mem=FILE, or HOST:PORT for a live pprof server")
 	parallel := fs.Int("parallel", 0, "diversified SMT portfolio width for the monolithic solver (overrides the config; <= 1 keeps the single search)")
-	backend := fs.String("backend", "", "scheduling backend (overrides the config): auto, placer, greedy, tabu, anneal, smt, smt-incremental, or race")
+	backend := fs.String("backend", "", "scheduling backend (overrides the config): auto, placer, greedy, anneal, smt, smt-incremental, or cascade")
 	decompose := fs.Bool("decompose", false, "split the solve into conflict-graph components solved independently and merged (overrides the config)")
 	boundsPath := fs.String("bounds", "", "write the analytic per-stream worst-case bounds as JSON to this file")
 	dashAddr := fs.String("dash", "", "serve the live dashboard on this address (e.g. :8080; keeps serving after the run until SIGINT/SIGTERM)")

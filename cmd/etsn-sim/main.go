@@ -6,7 +6,7 @@
 //
 //	etsn-sim -config network.json [-method etsn|period|avb] [-duration 4s]
 //	         [-seed 1] [-multiplier 1] [-parallel N] [-json]
-//	         [-backend auto|placer|greedy|tabu|anneal|smt|smt-incremental|race]
+//	         [-backend auto|placer|greedy|anneal|smt|smt-incremental|cascade]
 //	         [-engine seq|shard] [-shards N]
 //	         [-fail-link SW1->SW2 -fail-at 1s -heal-after 500ms]
 //	         [-metrics out.prom] [-trace-phases out.trace.json]
@@ -24,8 +24,8 @@
 // deterministic search).
 //
 // -backend selects the E-TSN scheduling backend (heuristic placers and
-// searches, the exact SMT solvers, or "race" — all of them concurrently,
-// first verified plan in priority order wins), overriding the
+// searches, the exact SMT solvers, or "cascade" — those one at a time in
+// priority order, stopping at the first verified plan), overriding the
 // configuration's options.backend. It only affects -method etsn.
 //
 // -dash serves the live observability dashboard (internal/dash) on the
@@ -84,7 +84,7 @@ func run(args []string) error {
 	tracePhases := fs.String("trace-phases", "", "write a Chrome trace_event JSON file of planner/simulation phases")
 	pprofSpec := fs.String("pprof", "", "profiling: cpu=FILE, mem=FILE, or HOST:PORT for a live pprof server")
 	parallel := fs.Int("parallel", 0, "diversified SMT portfolio width during planning (<= 1 keeps the single search)")
-	backend := fs.String("backend", "", "E-TSN scheduling backend (overrides the config): auto, placer, greedy, tabu, anneal, smt, smt-incremental, or race")
+	backend := fs.String("backend", "", "E-TSN scheduling backend (overrides the config): auto, placer, greedy, anneal, smt, smt-incremental, or cascade")
 	decompose := fs.Bool("decompose", false, "split the E-TSN solve into conflict-graph components solved independently and merged (overrides the config)")
 	engine := fs.String("engine", sched.EngineSeq, "simulation engine: seq (sequential oracle) or shard (conservative-parallel)")
 	shards := fs.Int("shards", 0, "shard count for -engine shard (0 = GOMAXPROCS)")

@@ -8,7 +8,7 @@ import (
 )
 
 // annealSeed fixes the annealer's random source so its schedule is
-// byte-identical across runs (the determinism the race protocol and the
+// byte-identical across runs (the determinism the cascade and the
 // experiment pipeline rely on).
 const annealSeed = 0x5eed_e75
 
@@ -29,10 +29,10 @@ func solveAnneal(ctx context.Context, inst *instance) (*Result, error) {
 	iters := 2000 + 100*len(h.chains)
 	temp := float64(h.total + 1)
 	for it := 0; h.total > 0 && it < iters; it++ {
-		if it%64 == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("%w: anneal: %v", ErrBudget, err)
-			}
+		// Every iteration: one on a dense instance costs milliseconds, and a
+		// cascade stage must stop at its share of the deadline.
+		if err := ctx.Err(); err != nil {
+			return nil, fmt.Errorf("%w: anneal: %v", ErrBudget, err)
 		}
 		// Pick a conflicted chain uniformly (deterministic index order).
 		pick := -1

@@ -5,21 +5,22 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
-	"runtime"
+	"strings"
 	"testing"
 	"time"
 
 	"etsn/internal/model"
+	"etsn/internal/obs"
 )
 
-// allConcreteBackends are the backends a race may contain.
+// allConcreteBackends are the backends a cascade may contain.
 var allConcreteBackends = []Backend{
-	BackendPlacer, BackendGreedy, BackendTabu, BackendAnneal,
+	BackendPlacer, BackendGreedy, BackendAnneal,
 	BackendSMT, BackendSMTIncremental,
 }
 
 func TestParseBackendRoundTrip(t *testing.T) {
-	for _, b := range append([]Backend{BackendAuto, BackendRace}, allConcreteBackends...) {
+	for _, b := range append([]Backend{BackendAuto, BackendCascade}, allConcreteBackends...) {
 		got, err := ParseBackend(b.String())
 		if err != nil {
 			t.Fatalf("ParseBackend(%q): %v", b.String(), err)
@@ -31,8 +32,16 @@ func TestParseBackendRoundTrip(t *testing.T) {
 	if got, err := ParseBackend(""); err != nil || got != BackendAuto {
 		t.Fatalf("ParseBackend(\"\") = %v, %v; want auto", got, err)
 	}
-	if _, err := ParseBackend("z3"); !errors.Is(err, ErrInvalidProblem) {
-		t.Fatalf("ParseBackend(\"z3\") err = %v, want ErrInvalidProblem", err)
+	// Journals and configs written before the cascade carry "race".
+	if got, err := ParseBackend("race"); err != nil || got != BackendCascade {
+		t.Fatalf("ParseBackend(\"race\") = %v, %v; want cascade", got, err)
+	}
+	// A removed or unknown name is rejected with the valid ones listed.
+	for _, name := range []string{"tabu", "z3"} {
+		_, err := ParseBackend(name)
+		if !errors.Is(err, ErrInvalidProblem) || !strings.Contains(err.Error(), "smt-incremental|cascade") {
+			t.Fatalf("ParseBackend(%q) err = %v, want ErrInvalidProblem listing the valid names", name, err)
+		}
 	}
 }
 
@@ -61,7 +70,7 @@ func TestAllBackendsVerifyFig4(t *testing.T) {
 // strict formulation cannot express the epoch wrap the late possibilities
 // need, so they correctly report the strict problem unsatisfiable.
 func TestHeuristicBackendsVerifyFig6(t *testing.T) {
-	for _, b := range []Backend{BackendPlacer, BackendGreedy, BackendTabu, BackendAnneal} {
+	for _, b := range []Backend{BackendPlacer, BackendGreedy, BackendAnneal} {
 		t.Run(b.String(), func(t *testing.T) {
 			n := fig2Network(t)
 			p := fig6Problem(t, n)
@@ -177,12 +186,16 @@ func TestBackendsVerifyRandomScenarios(t *testing.T) {
 	}
 }
 
-// TestRaceDeterministic: the race winner and its schedule are byte-stable
-// across runs at fixed priority, regardless of finish order.
+// The TestRace* tests below predate the cascade and keep their names: the
+// properties they check — winner by priority, the error chain — are the
+// ones the cascade had to preserve.
+
+// TestRaceDeterministic: the cascade winner and its schedule are
+// byte-stable across runs at fixed priority.
 func TestRaceDeterministic(t *testing.T) {
 	run := func(seed int64) (*Result, error) {
 		_, p := randomProblem(t, seed)
-		p.Opts.Backend = BackendRace
+		p.Opts.Backend = BackendCascade
 		return Schedule(p)
 	}
 	for seed := int64(1); seed <= 6; seed++ {
@@ -203,13 +216,13 @@ func TestRaceDeterministic(t *testing.T) {
 	}
 }
 
-// TestRacePriorityOrder: a single-entry race must be won by that entry,
+// TestRacePriorityOrder: a single-entry cascade must be won by that entry,
 // and the verified winner is the lowest-priority-index success.
 func TestRacePriorityOrder(t *testing.T) {
 	n := fig2Network(t)
 	p := fig4Problem(t, n)
-	p.Opts.Backend = BackendRace
-	p.Opts.Race = []Backend{BackendSMTIncremental}
+	p.Opts.Backend = BackendCascade
+	p.Opts.Cascade = []Backend{BackendSMTIncremental}
 	res, err := Schedule(p)
 	if err != nil {
 		t.Fatalf("Schedule: %v", err)
@@ -220,8 +233,8 @@ func TestRacePriorityOrder(t *testing.T) {
 	verifyClean(t, n, res)
 
 	p2 := fig6Problem(t, fig2Network(t))
-	p2.Opts.Backend = BackendRace
-	p2.Opts.Race = []Backend{BackendGreedy, BackendSMT}
+	p2.Opts.Backend = BackendCascade
+	p2.Opts.Cascade = []Backend{BackendGreedy, BackendSMT}
 	res2, err := Schedule(p2)
 	if err != nil {
 		t.Fatalf("Schedule: %v", err)
@@ -231,15 +244,15 @@ func TestRacePriorityOrder(t *testing.T) {
 	}
 }
 
-// TestRaceRejectsNested: BackendAuto and BackendRace are not legal race
-// entries.
+// TestRaceRejectsNested: BackendAuto and BackendCascade are not legal
+// cascade entries.
 func TestRaceRejectsNested(t *testing.T) {
 	n := fig2Network(t)
 	p := fig4Problem(t, n)
-	p.Opts.Backend = BackendRace
-	p.Opts.Race = []Backend{BackendRace}
+	p.Opts.Backend = BackendCascade
+	p.Opts.Cascade = []Backend{BackendCascade}
 	if _, err := Schedule(p); !errors.Is(err, ErrInvalidProblem) {
-		t.Fatalf("nested race err = %v, want ErrInvalidProblem", err)
+		t.Fatalf("nested cascade err = %v, want ErrInvalidProblem", err)
 	}
 }
 
@@ -263,31 +276,44 @@ func infeasibleProblem(t *testing.T, n *model.Network) *Problem {
 func TestRaceInfeasibleProof(t *testing.T) {
 	n := fig2Network(t)
 	p := infeasibleProblem(t, n)
-	p.Opts.Backend = BackendRace
+	p.Opts.Backend = BackendCascade
 	_, err := Schedule(p)
 	if !errors.Is(err, ErrInfeasible) {
 		t.Fatalf("err = %v, want ErrInfeasible", err)
 	}
 }
 
-// TestRaceNoGoroutineLeak: cancelled losing backends must exit before the
-// race returns; repeated races must not accumulate goroutines.
-func TestRaceNoGoroutineLeak(t *testing.T) {
-	before := runtime.NumGoroutine()
-	for i := 0; i < 8; i++ {
-		n := fig2Network(t)
-		p := fig6Problem(t, n)
-		p.Opts.Backend = BackendRace
-		if _, err := Schedule(p); err != nil {
-			t.Fatalf("Schedule: %v", err)
+// TestCascadeStopsAtFirstSuccess: on an instance the head of the order
+// closes, nothing behind the head runs.
+func TestCascadeStopsAtFirstSuccess(t *testing.T) {
+	n := fig2Network(t)
+	p := fig6Problem(t, n)
+	p.Opts.Backend = BackendCascade
+	p.Opts.Obs = obs.NewRegistry()
+	res, err := Schedule(p)
+	if err != nil {
+		t.Fatalf("Schedule: %v", err)
+	}
+	verifyClean(t, n, res)
+	if res.BackendUsed != BackendPlacer {
+		t.Fatalf("BackendUsed = %v, want placer", res.BackendUsed)
+	}
+	want := map[string]int64{
+		`etsn_backend_races_total`:                    1,
+		`etsn_backend_solves_total{backend="placer"}`: 1,
+		`etsn_backend_wins_total{backend="placer"}`:   1,
+	}
+	for _, m := range p.Opts.Obs.Gather() {
+		if !strings.HasPrefix(m.Name, "etsn_backend_") || m.Kind != obs.KindCounter {
+			continue
 		}
+		if m.Value != want[m.Name] {
+			t.Errorf("%s = %d, want %d", m.Name, m.Value, want[m.Name])
+		}
+		delete(want, m.Name)
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > before+2 && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if after := runtime.NumGoroutine(); after > before+2 {
-		t.Fatalf("goroutine leak: %d -> %d", before, after)
+	if len(want) != 0 {
+		t.Errorf("counters never published: %v", want)
 	}
 }
 
@@ -296,7 +322,7 @@ func TestRaceNoGoroutineLeak(t *testing.T) {
 func TestScheduleContextCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, b := range []Backend{BackendTabu, BackendAnneal, BackendGreedy, BackendSMTIncremental, BackendRace} {
+	for _, b := range []Backend{BackendAnneal, BackendGreedy, BackendSMTIncremental, BackendCascade} {
 		_, p := randomProblem(t, 3)
 		p.Opts.Backend = b
 		_, err := ScheduleContext(ctx, p)
@@ -338,7 +364,7 @@ func TestGreedyPlacesLate(t *testing.T) {
 }
 
 func BenchmarkBackends(b *testing.B) {
-	for _, backend := range []Backend{BackendPlacer, BackendGreedy, BackendTabu, BackendAnneal, BackendRace} {
+	for _, backend := range []Backend{BackendPlacer, BackendGreedy, BackendAnneal, BackendCascade} {
 		b.Run(backend.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				_, p := randomProblem(b, 5)

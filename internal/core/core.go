@@ -58,15 +58,12 @@ const (
 	// committed in reverse path order against their deadlines, leaving the
 	// front of each period free for later streams.
 	BackendGreedy
-	// BackendTabu searches over rigid per-stream phase shifts with a tabu
-	// list over recently moved streams.
-	BackendTabu
-	// BackendAnneal searches the same phase-shift space by simulated
-	// annealing with a fixed seed (deterministic).
+	// BackendAnneal searches over rigid per-stream phase shifts by
+	// simulated annealing with a fixed seed (deterministic).
 	BackendAnneal
-	// BackendRace races all backends in Options.Race under a shared
-	// context; the highest-priority verified-feasible plan wins.
-	BackendRace
+	// BackendCascade runs the backends in Options.Cascade one at a time, in
+	// order, and stops at the first verified-feasible plan.
+	BackendCascade
 )
 
 // String names the backend.
@@ -82,12 +79,10 @@ func (b Backend) String() string {
 		return "smt-incremental"
 	case BackendGreedy:
 		return "greedy"
-	case BackendTabu:
-		return "tabu"
 	case BackendAnneal:
 		return "anneal"
-	case BackendRace:
-		return "race"
+	case BackendCascade:
+		return "cascade"
 	default:
 		return fmt.Sprintf("Backend(%d)", int(b))
 	}
@@ -108,14 +103,14 @@ func ParseBackend(name string) (Backend, error) {
 		return BackendSMTIncremental, nil
 	case "greedy":
 		return BackendGreedy, nil
-	case "tabu":
-		return BackendTabu, nil
 	case "anneal":
 		return BackendAnneal, nil
-	case "race":
-		return BackendRace, nil
+	// "race" is what the cascade was called while it ran its backends
+	// concurrently; journals and configurations on disk carry it.
+	case "cascade", "race":
+		return BackendCascade, nil
 	default:
-		return 0, fmt.Errorf("%w: unknown backend %q (want auto|placer|greedy|tabu|anneal|smt|smt-incremental|race)",
+		return 0, fmt.Errorf("%w: unknown backend %q (want auto|placer|greedy|anneal|smt|smt-incremental|cascade)",
 			ErrInvalidProblem, name)
 	}
 }
@@ -139,7 +134,7 @@ func (b Backend) Capabilities() Capabilities {
 	switch b {
 	case BackendSMT, BackendSMTIncremental:
 		return Capabilities{Exact: true, Deterministic: true, Anytime: true}
-	case BackendTabu, BackendAnneal:
+	case BackendAnneal:
 		return Capabilities{Deterministic: true, Anytime: true}
 	default:
 		// The placers run to completion in bounded time instead of
@@ -168,7 +163,7 @@ type Options struct {
 	MaxDecisions int64
 	// Timeout bounds the solve's wall-clock time — for every backend, not
 	// just SMT: ScheduleContext derives a deadline context the heuristic
-	// searches and the race observe. Zero means unlimited.
+	// searches and the cascade observe. Zero means unlimited.
 	Timeout time.Duration
 	// DisablePrudentReservation turns Alg. 1 off (for ablation only; the
 	// verifier will typically report TCT deadline risks without it).
@@ -189,13 +184,11 @@ type Options struct {
 	// at the first satisfying assignment (binary-search optimization over
 	// the exact solver). Ignored by the placer.
 	MinimizeECT bool
-	// Race lists the backends BackendRace runs, in priority order: the
-	// lowest-indexed backend that returns a verified-feasible plan wins,
-	// which makes the winner (and so the emitted schedule) deterministic
-	// regardless of which backend finishes first. Empty means
-	// DefaultRaceBackends. Entries must be concrete backends (not
-	// BackendAuto or BackendRace).
-	Race []Backend
+	// Cascade lists the backends BackendCascade runs, in order: the first
+	// one that returns a verified-feasible plan wins and the rest never
+	// run. Empty means DefaultCascade. Entries must be concrete backends
+	// (not BackendAuto or BackendCascade).
+	Cascade []Backend
 	// Portfolio is the number of diversified SMT solver replicas raced on
 	// the monolithic (non-incremental) solve: the first definitive answer
 	// wins and cancels the rest. Values <= 1 keep the single deterministic
@@ -326,7 +319,7 @@ func ScheduleContext(ctx context.Context, p *Problem) (*Result, error) {
 	opts := p.Opts.withDefaults()
 	// Timeout bounds this call for every backend uniformly: the SMT
 	// deadline still applies inside the solver, and the heuristics and the
-	// race observe the context.
+	// cascade observe the context.
 	if opts.Timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, opts.Timeout)
@@ -361,21 +354,19 @@ func ScheduleContext(ctx context.Context, p *Problem) (*Result, error) {
 // dispatchBackend runs the backend the options select.
 func dispatchBackend(ctx context.Context, inst *instance, opts Options) (*Result, error) {
 	switch opts.Backend {
-	case BackendRace:
-		return solveRace(ctx, inst)
+	case BackendCascade:
+		return solveCascade(ctx, inst)
 	case BackendAuto:
-		res, err := solveBackend(ctx, inst, BackendPlacer)
-		if err == nil {
-			return res, nil
-		}
 		// Bound the fallback search so auto mode cannot hang on large
-		// instances the placer could not close.
+		// instances the placer could not close (the placer ignores it).
 		if inst.opts.MaxDecisions == 0 {
 			inst.opts.MaxDecisions = autoFallbackDecisions
 		}
-		res, serr := solveBackend(ctx, inst, BackendSMTIncremental)
-		if serr != nil {
-			return nil, fmt.Errorf("placer failed (%w); smt: %w", err, serr)
+		// No in-loop Verify: auto never had one, and the planners that run
+		// it (sched.Build, qcc.Compute) re-check the plan themselves.
+		res, errs := runStages(ctx, inst, []Backend{BackendPlacer, BackendSMTIncremental}, false)
+		if res == nil {
+			return nil, fmt.Errorf("placer failed (%w); smt: %w", errs[0], errs[1])
 		}
 		return res, nil
 	default:
@@ -395,8 +386,6 @@ func solveBackend(ctx context.Context, inst *instance, b Backend) (*Result, erro
 		res, err = solvePlacer(inst)
 	case BackendGreedy:
 		res, err = solveGreedy(ctx, inst)
-	case BackendTabu:
-		res, err = solveTabu(ctx, inst)
 	case BackendAnneal:
 		res, err = solveAnneal(ctx, inst)
 	case BackendSMT:

@@ -295,7 +295,7 @@ func mergeResults(cells []compCell, opts Options) *Result {
 		addSolverStats(&merged.SolverStats, r.SolverStats)
 	}
 	if !backendsAgree {
-		// Mixed per-component winners (a race can pick different backends
+		// Mixed per-component winners (a cascade can pick different backends
 		// per component): report the mode that was asked for.
 		merged.BackendUsed = opts.Backend
 	}

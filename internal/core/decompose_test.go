@@ -191,7 +191,7 @@ func TestConflictComponentsLinkSharingJoins(t *testing.T) {
 // independent verifier and the decomposition actually engaged.
 func TestDecomposedPlanVerifies(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
-		for _, b := range []Backend{BackendPlacer, BackendGreedy, BackendRace} {
+		for _, b := range []Backend{BackendPlacer, BackendGreedy, BackendCascade} {
 			n, p := multiCellProblem(t, seed, 3)
 			p.Opts.Backend = b
 			p.Opts.Decompose = true
@@ -258,7 +258,7 @@ func TestDecomposeSingleComponentByteIdentical(t *testing.T) {
 	if got := len(conflictComponents(p)); got != 1 {
 		t.Fatalf("fig4 problem has %d components, want 1", got)
 	}
-	for _, b := range []Backend{BackendPlacer, BackendRace, BackendSMTIncremental} {
+	for _, b := range []Backend{BackendPlacer, BackendCascade, BackendSMTIncremental} {
 		_, pm := build()
 		pm.Opts.Backend = b
 		mono, errM := Schedule(pm)
@@ -278,13 +278,13 @@ func TestDecomposeSingleComponentByteIdentical(t *testing.T) {
 	}
 }
 
-// TestDecomposeRaceDeterministic: with the full backend race per component,
+// TestDecomposeRaceDeterministic: with the default cascade per component,
 // the merged plan and per-component winners are stable across runs. Run
 // under -race this also exercises the concurrent merge paths.
 func TestDecomposeRaceDeterministic(t *testing.T) {
 	run := func(seed int64) (*Result, error) {
 		_, p := multiCellProblem(t, seed, 3)
-		p.Opts.Backend = BackendRace
+		p.Opts.Backend = BackendCascade
 		p.Opts.Decompose = true
 		return Schedule(p)
 	}
@@ -301,7 +301,7 @@ func TestDecomposeRaceDeterministic(t *testing.T) {
 			t.Fatalf("seed %d: BackendUsed diverged: %v vs %v", seed, a.BackendUsed, b.BackendUsed)
 		}
 		if got, want := planDump(a), planDump(b); got != want {
-			t.Fatalf("seed %d: decomposed race plan not deterministic", seed)
+			t.Fatalf("seed %d: decomposed cascade plan not deterministic", seed)
 		}
 	}
 }

@@ -6,13 +6,12 @@ import (
 	"etsn/internal/model"
 )
 
-// The tabu and annealing backends share one move space: every stream is
-// frozen into its rigid ASAP chain (chainMins), and the search shifts whole
-// chains by a per-stream phase delta. A rigid shift preserves every
-// intra-stream constraint (sequencing, adjacency, and a deterministic
-// stream's end-to-end span) by construction, so the only thing the search
-// must repair is inter-stream slot overlap — counted exactly over the
-// pairwise hyperperiod. Zero conflicts therefore means a verifier-clean
+// The annealing backend's move space: every stream is frozen into its rigid
+// ASAP chain (chainMins), and the search shifts whole chains by a per-stream
+// phase delta. A rigid shift preserves every intra-stream constraint
+// (sequencing, adjacency, and a deterministic stream's end-to-end span) by
+// construction, so the only thing the search must repair is inter-stream
+// slot overlap — counted exactly over the pairwise hyperperiod. Zero conflicts therefore means a verifier-clean
 // schedule; a non-zero floor at budget exhaustion is a give-up (ErrBudget),
 // never an infeasibility proof.
 
@@ -69,7 +68,7 @@ func (c *chainStream) firstValidDelta(from int64) (int64, bool) {
 	return 0, false
 }
 
-// heurState is the shared search state: chains, a per-link index, and
+// heurState is the search state: chains, a per-link index, and
 // incrementally maintained conflict counts.
 type heurState struct {
 	inst   *instance

@@ -231,7 +231,7 @@ func solveSMT(ctx context.Context, inst *instance, incremental bool) (*Result, e
 
 // solveIncremental adds streams one at a time, re-solving after each.
 // Each re-solve runs under ctx (SolvePortfolio at k=1 is a single
-// context-cancellable Solve), so a cancelled race stops mid-sequence.
+// context-cancellable Solve), so an expired cascade stage stops mid-sequence.
 func solveIncremental(ctx context.Context, b *smtBuilder, inst *instance) (*smt.Model, error) {
 	var m *smt.Model
 	for i, s := range inst.streams {

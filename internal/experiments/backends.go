@@ -8,30 +8,26 @@ import (
 	"etsn/internal/core"
 )
 
-// BackendsTimeout bounds each standalone backend solve (and each race) in
+// BackendsTimeout bounds each standalone backend solve (and each cascade) in
 // the backends experiment. The exact solvers can burn unbounded time on the
 // full-size testbed instances; the heuristics give up when the budget runs
 // out. Two seconds is far above any backend's feasible solve time on the
 // fig11 grid, so a timeout here genuinely means "did not finish".
 const BackendsTimeout = 2 * time.Second
 
-// racedBackends returns the standalone sweep list: the backends the race
-// runs, in its priority order.
-func racedBackends() []core.Backend { return core.DefaultRaceBackends() }
-
 // BackendsResult is the cross-backend benchmark over the Fig. 11 load grid:
-// every raced backend solved standalone (wall time, feasibility, verifier
-// verdict) plus one race per load.
+// every backend of the default cascade solved standalone (wall time,
+// feasibility, verifier verdict) plus one cascade per load.
 type BackendsResult struct {
-	Timeout time.Duration
-	Points  []BenchBackendPoint
-	Races   []BenchBackendRace
+	Timeout  time.Duration
+	Points   []BenchBackendPoint
+	Cascades []BenchBackendCascade
 }
 
 // solveBackendPoint runs one standalone backend solve against a scenario's
 // scheduling problem, timing the wall and verifying any plan produced. The
 // returned winner is the backend that actually produced the plan (relevant
-// for the race, where it names the race winner).
+// for the cascade, where it names the stage that won).
 func solveBackendPoint(scen *Scenario, b core.Backend, timeout time.Duration, opts RunOptions) (BenchBackendPoint, string) {
 	p := scen.Problem()
 	p.Obs = opts.Obs
@@ -73,15 +69,15 @@ func Backends(opts RunOptions) (*BackendsResult, error) {
 		if pt, _ := solveBackendPoint(scen, core.BackendPlacer, BackendsTimeout, warm); !pt.Feasible {
 			return nil, fmt.Errorf("backends load %v: warm-up placer solve failed: %s", load, pt.Err)
 		}
-		for _, b := range racedBackends() {
+		for _, b := range core.DefaultCascade() {
 			pt, _ := solveBackendPoint(scen, b, BackendsTimeout, opts)
 			out.Points = append(out.Points, pt)
 		}
-		rp, winner := solveBackendPoint(scen, core.BackendRace, BackendsTimeout, opts)
+		rp, winner := solveBackendPoint(scen, core.BackendCascade, BackendsTimeout, opts)
 		if !rp.Feasible {
-			return nil, fmt.Errorf("backends load %v: race failed: %s", load, rp.Err)
+			return nil, fmt.Errorf("backends load %v: cascade failed: %s", load, rp.Err)
 		}
-		out.Races = append(out.Races, BenchBackendRace{
+		out.Cascades = append(out.Cascades, BenchBackendCascade{
 			Load:     load,
 			WallUs:   rp.WallUs,
 			Winner:   winner,
@@ -96,14 +92,14 @@ func (r *BackendsResult) Bench() *BenchBackends {
 	return &BenchBackends{
 		TimeoutMs: r.Timeout.Milliseconds(),
 		Points:    r.Points,
-		Races:     r.Races,
+		Cascades:  r.Cascades,
 	}
 }
 
 // WriteTable renders the benchmark. Wall times are real measurements, so
 // unlike the figure tables this output is not byte-stable across runs.
 func (r *BackendsResult) WriteTable(w io.Writer) {
-	fmt.Fprintf(w, "Scheduler backends — standalone solves and race (testbed, fig11 load grid, timeout %v)\n", r.Timeout)
+	fmt.Fprintf(w, "Scheduler backends — standalone solves and cascade (testbed, fig11 load grid, timeout %v)\n", r.Timeout)
 	for _, load := range Fig11Loads {
 		fmt.Fprintf(w, "network load %.0f%%:\n", load*100)
 		for _, pt := range r.Points {
@@ -119,11 +115,11 @@ func (r *BackendsResult) WriteTable(w io.Writer) {
 				fmt.Fprintf(w, "  %-16s %-12s ok, %d slots\n", pt.Backend, fmtWallUs(pt.WallUs), pt.Slots)
 			}
 		}
-		for _, rc := range r.Races {
+		for _, rc := range r.Cascades {
 			if rc.Load != load {
 				continue
 			}
-			fmt.Fprintf(w, "  %-16s %-12s winner=%s verified=%v\n", "race", fmtWallUs(rc.WallUs), rc.Winner, rc.Verified)
+			fmt.Fprintf(w, "  %-16s %-12s winner=%s verified=%v\n", "cascade", fmtWallUs(rc.WallUs), rc.Winner, rc.Verified)
 		}
 	}
 }
@@ -147,11 +143,12 @@ type BackendComparison struct {
 	WallUs int64
 }
 
-// CompareBackends solves every scenario once per raced backend,
-// sequentially (walls are measurements).
+// CompareBackends solves every scenario once per backend of the default
+// cascade, sequentially (walls are measurements).
 func CompareBackends(scens []*Scenario, opts RunOptions) []BackendComparison {
-	rows := make([]BackendComparison, 0, len(racedBackends()))
-	for _, b := range racedBackends() {
+	order := core.DefaultCascade()
+	rows := make([]BackendComparison, 0, len(order))
+	for _, b := range order {
 		row := BackendComparison{Backend: b.String(), Cells: len(scens)}
 		for _, scen := range scens {
 			pt, _ := solveBackendPoint(scen, b, BackendsTimeout, opts)

@@ -109,8 +109,8 @@ type BenchBackendPoint struct {
 	Err      string `json:"err,omitempty"`
 }
 
-// BenchBackendRace is the cross-backend race measurement at one load.
-type BenchBackendRace struct {
+// BenchBackendCascade is the default cascade's measurement at one load.
+type BenchBackendCascade struct {
 	Load     float64 `json:"load"`
 	WallUs   int64   `json:"wall_us"`
 	Winner   string  `json:"winner"`
@@ -118,19 +118,19 @@ type BenchBackendRace struct {
 }
 
 // BenchBackends is the cross-backend scheduler benchmark section
-// (BENCH_backends.json): every raced backend solved standalone over the
-// fig11 load grid, plus one race per load. Artifacts carrying this section
-// are solver-only and skip the simulator gates.
+// (BENCH_backends.json): every backend of the default cascade solved
+// standalone over the fig11 load grid, plus one cascade per load. Artifacts
+// carrying this section are solver-only and skip the simulator gates.
 type BenchBackends struct {
 	// TimeoutMs is the per-solve budget the sweep ran with.
-	TimeoutMs int64               `json:"timeout_ms"`
-	Points    []BenchBackendPoint `json:"points"`
-	Races     []BenchBackendRace  `json:"races"`
+	TimeoutMs int64                 `json:"timeout_ms"`
+	Points    []BenchBackendPoint   `json:"points"`
+	Cascades  []BenchBackendCascade `json:"cascades"`
 }
 
 // BenchScalePoint is one (family, cells) grid point of the decomposition
 // corpus sweep: the identical instance solved monolithically and with
-// Options.Decompose, both through the placer+greedy race.
+// Options.Decompose, both through the placer+greedy cascade.
 type BenchScalePoint struct {
 	Family  string `json:"family"`
 	Cells   int    `json:"cells"`
@@ -143,7 +143,7 @@ type BenchScalePoint struct {
 	// independent verifier with zero violations.
 	Verified bool `json:"verified"`
 	// PlansIdentical records whether the monolithic and decomposed plans
-	// carry the same canonical fingerprint. The race's deterministic
+	// carry the same canonical fingerprint. The cascade's deterministic
 	// winner (the link-local placer) makes this hold at every point, so a
 	// false here is a decomposition soundness regression.
 	PlansIdentical bool `json:"plans_identical"`
@@ -183,13 +183,14 @@ const benchScaleMinStreams = 2000
 // covers GC growth and the spread of ~40 ms walls on a shared 2-CPU host.
 const benchScaleMaxDoubling = 2.6
 
-// The race-overhead gate: the race wall may exceed the best standalone
-// feasible wall by at most this factor plus the fixed slack (goroutine
-// spawn, verification of the winning plan, and scheduler noise on a loaded
-// CI machine).
+// The cascade-overhead gate: the cascade wall may exceed its winner's
+// standalone wall by at most this factor plus the fixed slack. A cascade
+// won by its head is that backend's solve plus one Verify of its plan; the
+// slack covers the Verify and scheduler noise on walls of about a
+// millisecond.
 const (
-	benchRaceOverheadFactor = 3
-	benchRaceSlackUs        = 250_000
+	benchCascadeOverheadFactor = 2
+	benchCascadeSlackUs        = 5_000
 )
 
 // BenchLatency summarizes the end-to-end delivery latency histogram.
@@ -359,8 +360,8 @@ func LoadBenchArtifact(path string) (*BenchArtifact, error) {
 // oracle — fewer decisions+conflicts AND lower wall time — on every class.
 // Cross-backend artifacts (Backends section) are likewise solver-only and
 // gate on every plan being verifier-clean, a heuristic beating the exact
-// solver's wall at the heaviest load, and the race wall tracking the best
-// standalone backend within the overhead bound.
+// solver's wall at the heaviest load, and the cascade wall tracking its
+// winner's standalone wall within the overhead bound.
 func (a *BenchArtifact) Validate() error {
 	if len(a.SMT) > 0 {
 		return a.validateSMT()
@@ -402,8 +403,8 @@ func (a *BenchArtifact) Validate() error {
 //
 //   - soundness: every decomposed plan passed the independent verifier,
 //     and every grid point's plan is fingerprint-identical to the
-//     monolithic solve's (the race winner is the deterministic link-local
-//     placer on both sides);
+//     monolithic solve's (the cascade winner is the deterministic
+//     link-local placer on both sides);
 //   - corpus shape: every grid point actually decomposes (two or more
 //     components) and the sweep reaches at least benchScaleMinStreams
 //     streams;
@@ -581,15 +582,16 @@ func benchExactBackend(name string) bool {
 // validateBackends gates the cross-backend benchmark artifact. The
 // invariants CI relies on:
 //
-//   - soundness: every feasible point (and every race) carries a
+//   - soundness: every feasible point (and every cascade) carries a
 //     verifier-clean plan — a backend that ships an invalid schedule must
 //     never look like a win;
 //   - the perf claim: at the heaviest load, at least one heuristic backend
 //     solved the instance in less wall time than the exact SMT backend
 //     spent (solving, proving infeasibility, or timing out);
-//   - the race claim: each race's wall tracks the fastest standalone
-//     feasible backend at that load within the overhead bound, and its
-//     winner is one of the raced backends.
+//   - the cascade claim: each cascade's winner is one of the backends
+//     solved standalone, feasible there, and the cascade's wall stays
+//     within the overhead bound of that standalone wall — nothing behind
+//     the winner ran.
 func (a *BenchArtifact) validateBackends() error {
 	b := a.Backends
 	switch {
@@ -599,13 +601,13 @@ func (a *BenchArtifact) validateBackends() error {
 		return fmt.Errorf("bench artifact %s: wall_ms = %d", a.Experiment, a.WallMs)
 	case b.TimeoutMs <= 0:
 		return fmt.Errorf("bench artifact %s: backends timeout_ms = %d", a.Experiment, b.TimeoutMs)
-	case len(b.Points) == 0 || len(b.Races) == 0:
-		return fmt.Errorf("bench artifact %s: backends section has %d points, %d races",
-			a.Experiment, len(b.Points), len(b.Races))
+	case len(b.Points) == 0 || len(b.Cascades) == 0:
+		return fmt.Errorf("bench artifact %s: backends section has %d points, %d cascades",
+			a.Experiment, len(b.Points), len(b.Cascades))
 	}
 	maxLoad := 0.0
-	bestFeasible := map[float64]int64{}
-	names := map[float64]map[string]bool{}
+	// standalone[load][backend] is the wall of each feasible standalone point.
+	standalone := map[float64]map[string]int64{}
 	var smtWallAtMax, heurBestAtMax int64
 	for _, pt := range b.Points {
 		if pt.Load > maxLoad {
@@ -626,14 +628,11 @@ func (a *BenchArtifact) validateBackends() error {
 			return fmt.Errorf("bench artifact %s: backend %s at load %v infeasible with no error",
 				a.Experiment, pt.Backend, pt.Load)
 		}
-		if names[pt.Load] == nil {
-			names[pt.Load] = map[string]bool{}
-		}
-		names[pt.Load][pt.Backend] = true
 		if pt.Feasible {
-			if best, ok := bestFeasible[pt.Load]; !ok || pt.WallUs < best {
-				bestFeasible[pt.Load] = pt.WallUs
+			if standalone[pt.Load] == nil {
+				standalone[pt.Load] = map[string]int64{}
 			}
+			standalone[pt.Load][pt.Backend] = pt.WallUs
 		}
 		if pt.Load == maxLoad && benchExactBackend(pt.Backend) {
 			if smtWallAtMax == 0 || pt.WallUs < smtWallAtMax {
@@ -656,26 +655,23 @@ func (a *BenchArtifact) validateBackends() error {
 		return fmt.Errorf("bench artifact %s: best heuristic wall %dus not below exact solver wall %dus at load %v",
 			a.Experiment, heurBestAtMax, smtWallAtMax, maxLoad)
 	}
-	for _, rc := range b.Races {
+	for _, rc := range b.Cascades {
 		switch {
 		case rc.WallUs <= 0:
-			return fmt.Errorf("bench artifact %s: race at load %v has wall %dus",
+			return fmt.Errorf("bench artifact %s: cascade at load %v has wall %dus",
 				a.Experiment, rc.Load, rc.WallUs)
 		case !rc.Verified:
-			return fmt.Errorf("bench artifact %s: race at load %v won with an unverified plan",
+			return fmt.Errorf("bench artifact %s: cascade at load %v won with an unverified plan",
 				a.Experiment, rc.Load)
-		case rc.Winner == "" || !names[rc.Load][rc.Winner]:
-			return fmt.Errorf("bench artifact %s: race at load %v won by unknown backend %q",
+		}
+		won, ok := standalone[rc.Load][rc.Winner]
+		if !ok {
+			return fmt.Errorf("bench artifact %s: cascade at load %v won by backend %q, which has no feasible standalone point there",
 				a.Experiment, rc.Load, rc.Winner)
 		}
-		best, ok := bestFeasible[rc.Load]
-		if !ok {
-			return fmt.Errorf("bench artifact %s: race at load %v but no feasible standalone point",
-				a.Experiment, rc.Load)
-		}
-		if bound := benchRaceOverheadFactor*best + benchRaceSlackUs; rc.WallUs > bound {
-			return fmt.Errorf("bench artifact %s: race wall %dus at load %v exceeds overhead bound %dus (best standalone %dus)",
-				a.Experiment, rc.WallUs, rc.Load, bound, best)
+		if bound := benchCascadeOverheadFactor*won + benchCascadeSlackUs; rc.WallUs > bound {
+			return fmt.Errorf("bench artifact %s: cascade wall %dus at load %v exceeds overhead bound %dus (winner %s standalone %dus)",
+				a.Experiment, rc.WallUs, rc.Load, bound, rc.Winner, won)
 		}
 	}
 	return nil

@@ -17,13 +17,13 @@ import (
 // is cell-local, so the stream conflict graph falls apart into one
 // connected component per cell. Each grid point solves the identical
 // instance twice — monolithically and with Options.Decompose — through the
-// same two-backend race (placer + greedy), and records both walls, the
-// verifier's verdict on the merged plan, and whether the two plans are
-// identical. The race portfolio is fixed to the two placers on purpose:
-// both are link-local and run to completion in time linear in the corpus,
-// and the first-fit placer — priority zero in the race and deterministic —
-// wins every feasible race on both sides, which is what makes the
-// plan-identity gate meaningful at every grid point. On this corpus the
+// same two-backend cascade (placer, then greedy), and records both walls,
+// the verifier's verdict on the merged plan, and whether the two plans are
+// identical. The cascade is fixed to the two placers on purpose: both are
+// link-local and run to completion in time linear in the corpus, and the
+// first-fit placer — the head of the order and deterministic — closes
+// every cell on both sides, which is what makes the plan-identity gate
+// meaningful at every grid point. On this corpus the
 // decomposed solve is the slower of the two (per-component instances, a
 // goroutine each, the merge and its re-verification buy nothing when
 // placement is already linear); the sweep's wall gate is on the monolithic
@@ -38,7 +38,7 @@ const (
 	// are dominated by TCT, not possibility streams.
 	corpusNProb = 8
 	// corpusLoad is the per-cell bottleneck load. Kept moderate so the
-	// placer closes every cell and the race winner is deterministic.
+	// placer closes every cell and the cascade winner is deterministic.
 	corpusLoad = 0.3
 )
 
@@ -182,8 +182,8 @@ func corpusProblem(family string, cells int, seed int64) (*core.Problem, error) 
 	}
 	p.Opts = core.Options{
 		NProb:   corpusNProb,
-		Backend: core.BackendRace,
-		Race:    []core.Backend{core.BackendPlacer, core.BackendGreedy},
+		Backend: core.BackendCascade,
+		Cascade: []core.Backend{core.BackendPlacer, core.BackendGreedy},
 	}
 	return p, nil
 }
@@ -228,7 +228,7 @@ func PlanFingerprint(res *core.Result) string {
 // sweep's gates compare walls of a few tens of milliseconds; a single cold
 // solve of a just-built instance spread over 2.5x between runs, where
 // back-to-back solves of one instance settle within ~20 %. The median is
-// reported because the race has a fat fast tail as well as a slow one.
+// reported because the walls have a fat fast tail as well as a slow one.
 const corpusSolveReps = 9
 
 // corpusSolve schedules one freshly built instance of the grid point with
@@ -294,8 +294,8 @@ func singleComponentCheck() (BenchScaleSingle, error) {
 		}
 		p.Opts = core.Options{
 			NProb:   corpusNProb,
-			Backend: core.BackendRace,
-			Race:    []core.Backend{core.BackendPlacer, core.BackendGreedy},
+			Backend: core.BackendCascade,
+			Cascade: []core.Backend{core.BackendPlacer, core.BackendGreedy},
 		}
 		return p, nil
 	}
@@ -374,7 +374,7 @@ func ScaleSweep(opts RunOptions) (*BenchScale, error) {
 // WriteTable renders the sweep report.
 func (s *BenchScale) WriteTable(w io.Writer) {
 	fmt.Fprintln(w, "Extension — decomposition corpus: conflict-graph components vs monolithic solve")
-	fmt.Fprintf(w, "  %d streams per cell, placer+greedy race, %d CPU(s)\n", s.StreamsPerCell, s.Cpus)
+	fmt.Fprintf(w, "  %d streams per cell, placer+greedy cascade, %d CPU(s)\n", s.StreamsPerCell, s.Cpus)
 	fmt.Fprintf(w, "  %-6s %6s %8s %6s %12s %12s %8s %9s %10s\n",
 		"family", "cells", "streams", "comps", "mono", "decomposed", "speedup", "verified", "identical")
 	for _, pt := range s.Points {

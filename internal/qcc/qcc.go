@@ -123,9 +123,10 @@ type SchedulerOptions struct {
 	// NProb is the possibilities-per-ECT count.
 	NProb int `json:"n_prob,omitempty"`
 	// Backend selects the scheduling strategy: "auto", "placer", "greedy",
-	// "tabu", "anneal", "smt", "smt-incremental", or "race" (all enabled
-	// backends racing, highest-priority verified plan wins). Empty means
-	// auto; the scheduling daemon defaults submitted jobs to "race".
+	// "anneal", "smt", "smt-incremental", or "cascade" (the backends one
+	// at a time in priority order, first verified plan wins; "race", its
+	// name in older documents, still selects it). Empty means auto; the
+	// scheduling daemon defaults submitted jobs to "cascade".
 	Backend string `json:"backend,omitempty"`
 	// Spread staggers TCT placement over the period.
 	Spread bool `json:"spread,omitempty"`

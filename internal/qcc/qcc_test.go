@@ -173,9 +173,9 @@ func TestBackendNames(t *testing.T) {
 		"auto":            "auto",
 		"placer":          "placer",
 		"greedy":          "greedy",
-		"tabu":            "tabu",
 		"anneal":          "anneal",
-		"race":            "race",
+		"cascade":         "cascade",
+		"race":            "cascade",
 		"smt":             "smt",
 		"smt-incremental": "smt-incremental",
 	} {
@@ -188,10 +188,14 @@ func TestBackendNames(t *testing.T) {
 			t.Errorf("backend %q -> %q, want %q", name, got, want)
 		}
 	}
-	// Unknown backends are rejected at configuration time.
-	cfg := &Config{Options: SchedulerOptions{Backend: "quantum"}}
-	if _, err := cfg.coreOptions(); !errors.Is(err, ErrBadConfig) {
-		t.Fatalf("unknown backend err = %v, want ErrBadConfig", err)
+	// Unknown (and removed) backends are rejected at configuration time,
+	// with the valid names listed.
+	for _, name := range []string{"quantum", "tabu"} {
+		cfg := &Config{Options: SchedulerOptions{Backend: name}}
+		_, err := cfg.coreOptions()
+		if !errors.Is(err, ErrBadConfig) || !strings.Contains(err.Error(), "auto|placer|greedy|anneal|smt|smt-incremental|cascade") {
+			t.Fatalf("backend %q err = %v, want ErrBadConfig listing the valid names", name, err)
+		}
 	}
 }
 

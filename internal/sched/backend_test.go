@@ -63,9 +63,9 @@ func TestBackendsSolve(t *testing.T) {
 	}
 }
 
-// TestBackendCapabilities pins the advertised guarantees the race protocol
-// depends on: the SMT backends are the exact anchors, everything else is a
-// heuristic whose failures carry no proof.
+// TestBackendCapabilities pins the advertised guarantees the cascade's
+// error chain depends on: the SMT backends are the exact anchors,
+// everything else is a heuristic whose failures carry no proof.
 func TestBackendCapabilities(t *testing.T) {
 	for _, b := range Backends() {
 		exact := b.Capabilities().Exact

@@ -2,10 +2,13 @@ package service
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"etsn/internal/core"
+	"etsn/internal/qcc"
 )
 
 // admitBodyBackend is admitBody with an explicit replan backend (also a
@@ -22,8 +25,9 @@ func planConfigNoBackend() string {
 }
 
 // TestSubmitBackendDefaultsToRace: a plan job that does not pin a backend
-// runs (and journals) the daemon's race policy, so a restart rebuilds the
-// live plan with exactly the backend that produced it.
+// runs (and journals) the daemon's cascade policy ("race" until PR 14; the
+// test keeps its name), so a restart rebuilds the live plan with exactly
+// the backend that produced it.
 func TestSubmitBackendDefaultsToRace(t *testing.T) {
 	dir := t.TempDir()
 	s := newTestServer(t, Config{DataDir: dir})
@@ -38,11 +42,11 @@ func TestSubmitBackendDefaultsToRace(t *testing.T) {
 	ten.mu.Lock()
 	effective := string(ten.effective)
 	ten.mu.Unlock()
-	if !strings.Contains(effective, `"backend":"race"`) {
-		t.Fatalf("effective config does not journal the race default: %s", effective)
+	if !strings.Contains(effective, `"backend":"cascade"`) {
+		t.Fatalf("effective config does not journal the cascade default: %s", effective)
 	}
 	if v := s.reg.CounterValue("etsn_backend_races_total"); v == 0 {
-		t.Fatal("plan job did not run the race")
+		t.Fatal("plan job did not run the cascade")
 	}
 	s.Shutdown()
 
@@ -56,6 +60,61 @@ func TestSubmitBackendDefaultsToRace(t *testing.T) {
 	}
 	if snap := waitJob(t, adm); snap.State != JobDone {
 		t.Fatalf("admit after restart: %+v", snap)
+	}
+}
+
+// TestReplayJournalWrittenAsRace: a journal written when the default
+// backend was still called "race" (testdata, from the commit before the
+// cascade) replays to the same plan version and export, the effective
+// config it carries recomputes to that export byte for byte, and the live
+// controller rebuilt from it admits.
+func TestReplayJournalWrittenAsRace(t *testing.T) {
+	fixture, err := os.ReadFile(filepath.Join("testdata", "journal-backend-race.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, journalName), fixture, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := replayJournal(dir)
+	if err != nil || len(st.tenantDone["acme"]) != 1 {
+		t.Fatalf("fixture: %v, done records %v", err, st)
+	}
+	done := st.tenantDone["acme"][0]
+	if !bytes.Contains(done.Effective, []byte(`"backend":"race"`)) {
+		t.Fatalf("fixture's effective config does not pin race: %s", done.Effective)
+	}
+	s := newTestServer(t, Config{DataDir: dir})
+	defer s.Shutdown()
+
+	pv, err := s.Plan("acme", 0)
+	if err != nil {
+		t.Fatalf("Plan: %v", err)
+	}
+	if pv.Version != done.Version || !bytes.Equal(pv.Export, done.Export) {
+		t.Fatalf("replayed version %d export %s, journaled version %d export %s",
+			pv.Version, pv.Export, done.Version, done.Export)
+	}
+
+	cfg, err := qcc.Parse(done.Effective)
+	if err != nil {
+		t.Fatalf("effective config: %v", err)
+	}
+	dep, err := qcc.Compute(cfg)
+	if err != nil {
+		t.Fatalf("Compute: %v", err)
+	}
+	if export, err := marshalExport(dep.Export()); err != nil || !bytes.Equal(export, done.Export) {
+		t.Fatalf("recomputed export %s (%v), journaled %s", export, err, done.Export)
+	}
+
+	adm, err := s.Submit("acme", KindAdmit, []byte(admitBody))
+	if err != nil {
+		t.Fatalf("Submit admit: %v", err)
+	}
+	if snap := waitJob(t, adm); snap.State != JobDone || snap.Version != done.Version+1 {
+		t.Fatalf("admit after replay: %+v", snap)
 	}
 }
 

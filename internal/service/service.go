@@ -553,9 +553,9 @@ func (s *Server) runJob(job *Job) {
 }
 
 // defaultJobBackend is the daemon's scheduling-backend policy: submitted
-// jobs race every backend (first verified plan in priority order wins)
-// unless the configuration pins one explicitly.
-const defaultJobBackend = "race"
+// jobs run the backend cascade (first verified plan in priority order
+// wins) unless the configuration pins one explicitly.
+const defaultJobBackend = "cascade"
 
 // applyBackendPolicy fills the daemon's backend default into a parsed
 // config. It runs on every path that computes a plan — job execution,
@@ -686,7 +686,7 @@ func (s *Server) runAdmitJob(t *tenant, job *Job) error {
 		return err
 	}
 	// Any full replan the admission falls back to runs the backend the
-	// request named (default: the daemon's race policy). Replayed jobs
+	// request named (default: the daemon's cascade policy). Replayed jobs
 	// re-decode the journaled payload, so the choice survives restarts.
 	replan := req.Backend
 	if replan == "" {
@@ -868,9 +868,11 @@ func (s *Server) finishJobDone(job *Job, pv *PlanVersion, effective []byte) erro
 		Export: pv.Export, Effective: json.RawMessage(effective),
 		Changed: pv.ChangedPorts, ShedTCT: pv.ShedTCT, ShedBE: pv.ShedBE,
 	})
-	job.finishDone(pv.Version, pv.ShedTCT, pv.ShedBE)
+	// Count before finishing: finishDone releases the job's waiters, and
+	// what they read next must already include this job.
 	s.reg.Counter("etsn_service_jobs_done_total").Inc()
 	s.reg.Counter(obs.Labels("etsn_service_tenant_jobs_total", "tenant", job.Tenant, "state", "done")).Inc()
+	job.finishDone(pv.Version, pv.ShedTCT, pv.ShedBE)
 	return err
 }
 
@@ -880,15 +882,15 @@ func (s *Server) failJob(job *Job, err error) {
 		Kind: "failed", Job: job.ID, Tenant: job.Tenant,
 		Class: class.String(), Error: err.Error(),
 	})
-	job.finishFailed(class, err.Error())
 	s.reg.Counter(`etsn_service_jobs_failed_total{class="` + class.String() + `"}`).Inc()
 	s.reg.Counter(obs.Labels("etsn_service_tenant_jobs_total", "tenant", job.Tenant, "state", "failed")).Inc()
+	job.finishFailed(class, err.Error())
 }
 
 func (s *Server) parkJob(job *Job) {
 	_ = s.journal.append(journalRecord{Kind: "parked", Job: job.ID, Tenant: job.Tenant})
-	job.park()
 	s.reg.Counter("etsn_service_jobs_parked_total").Inc()
+	job.park()
 }
 
 func (s *Server) tenantGet(name string) *tenant {

@@ -108,9 +108,10 @@ mkdir -p bench
 # identity throughout).
 "$BENCHDIR/etsn-bench" -experiment scale -duration 1s \
     -bench-dir bench -history bench/history.jsonl >/dev/null
-# The backends run races every scheduler backend over the fig11 load grid
-# and emits BENCH_backends.json, gated on verifier-clean plans and on the
-# race tracking the fastest feasible backend.
+# The backends run solves every backend of the default cascade standalone
+# over the fig11 load grid, then the cascade itself, and emits
+# BENCH_backends.json, gated on verifier-clean plans and on each cascade's
+# wall staying within 2x its winner's standalone wall plus 5 ms.
 "$BENCHDIR/etsn-bench" -experiment backends \
     -bench-dir bench -history bench/history.jsonl >/dev/null
 "$BENCHDIR/etsn-bench" -check-bench bench/BENCH_headline.json

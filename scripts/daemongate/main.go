@@ -3,7 +3,8 @@
 // and asserts the three robustness contracts:
 //
 //  1. Service: the paper-testbed scenario submits, solves, and yields a
-//     feasible versioned plan, with /metrics populated.
+//     feasible versioned plan, with /metrics populated — and showing that
+//     only the backend that won the plan job ran.
 //  2. Overload: a 4-tenant submission burst is absorbed per policy — every
 //     response is 202 or 429 (+Retry-After), degradation sheds only the
 //     doomed TCT stream, and no admitted ECT stream is ever dropped.
@@ -102,6 +103,18 @@ func runGate(bin, configPath, dataDir string) error {
 	for _, want := range []string{"etsn_service_jobs_accepted_total", "etsn_service_jobs_done_total", "etsn_service_queue_depth"} {
 		if !strings.Contains(string(metrics), want) {
 			return fmt.Errorf("/metrics missing %s", want)
+		}
+	}
+
+	// One plan job has run, under the daemon's default backend. The cascade
+	// stops at its winner, so that backend — and no other — has solved.
+	winners := backendLabels(string(metrics), "etsn_backend_wins_total")
+	if len(winners) != 1 {
+		return fmt.Errorf("/metrics after one plan job names winners %v, want exactly one", winners)
+	}
+	for _, b := range backendLabels(string(metrics), "etsn_backend_solves_total") {
+		if b != winners[0] {
+			return fmt.Errorf("backend %s ran although %s won the plan job: losers must not run", b, winners[0])
 		}
 	}
 
@@ -250,6 +263,20 @@ func runGate(bin, configPath, dataDir string) error {
 	}
 	daemon2.Process = nil
 	return nil
+}
+
+// backendLabels returns the backend label of every sample the exposition
+// carries for the named counter.
+func backendLabels(metrics, name string) []string {
+	var out []string
+	for _, line := range strings.Split(metrics, "\n") {
+		if rest, ok := strings.CutPrefix(line, name+`{backend="`); ok {
+			if b, _, ok := strings.Cut(rest, `"`); ok {
+				out = append(out, b)
+			}
+		}
+	}
+	return out
 }
 
 type snapshot struct {
