@@ -3,6 +3,7 @@ package etsn_test
 import (
 	"context"
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
@@ -199,11 +200,31 @@ func BenchmarkSimulator(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ResetTimer()
+	reg := obs.NewRegistry()
+	defer simEventMetrics(b, reg)()
 	for i := 0; i < b.N; i++ {
-		if _, err := plan.Simulate(scen.Network, scen.ECT, scen.BE, time.Second, int64(i)+1); err != nil {
+		if _, err := plan.SimulateOpts(scen.Network, sched.SimOptions{ECT: scen.ECT, BE: scen.BE,
+			Duration: time.Second, Seed: int64(i) + 1, Obs: reg}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// simEventMetrics resets the timer and returns a function that, called after
+// the loop, reports events/op and allocs/event from the registry the
+// simulations published into — the two numbers the event loop is budgeted
+// on, printed by check.sh's -benchtime=1x smoke.
+func simEventMetrics(b *testing.B, reg *obs.Registry) func() {
+	var before runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	return func() {
+		b.StopTimer()
+		var after runtime.MemStats
+		runtime.ReadMemStats(&after)
+		events := float64(reg.CounterValue("etsn_sim_events_total"))
+		b.ReportMetric(events/float64(b.N), "events/op")
+		b.ReportMetric(float64(after.Mallocs-before.Mallocs)/events, "allocs/event")
 	}
 }
 
@@ -471,10 +492,11 @@ func BenchmarkSimEventRate(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ResetTimer()
+	reg := obs.NewRegistry()
+	defer simEventMetrics(b, reg)()
 	for i := 0; i < b.N; i++ {
 		s, err := sim.New(sim.Config{Network: n, Schedule: res.Schedule, GCLs: gcls,
-			Duration: time.Second, Seed: 1})
+			Duration: time.Second, Seed: 1, Obs: reg})
 		if err != nil {
 			b.Fatal(err)
 		}

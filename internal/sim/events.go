@@ -14,13 +14,28 @@ package sim
 
 import "time"
 
-// event is a scheduled callback; key (deterministic mode) and seq break
-// ties at equal timestamps.
+// evKind selects how dispatch handles an event. The kinds that make up
+// nearly every event of a run carry their operand by value; faults, user
+// callbacks, source ticks and the TCT cycle tick are rare and stay closures.
+type evKind uint8
+
+const (
+	evFn      evKind = iota // run fn
+	evDeliver               // frame finished crossing the link at route[Hop]
+	evWake                  // port runs transmission selection
+	evEmit                  // TCT fragment frame is handed to its talker port
+)
+
+// event is one scheduled step; key (deterministic mode) and seq break ties
+// at equal timestamps.
 type event struct {
-	at  time.Duration
-	key evKey
-	seq int64
-	fn  func()
+	at    time.Duration
+	key   evKey
+	seq   int64
+	kind  evKind
+	port  *outPort
+	frame *Frame
+	fn    func()
 }
 
 // before is the total order the event loop pops in: (at, key, seq). In the

@@ -138,7 +138,7 @@ func (s *Simulator) applyFault(f Fault) {
 		for _, lid := range bothDirections(f.Link) {
 			if p := s.ports[lid]; p != nil && p.down {
 				p.down = false
-				s.scheduleKey(s.now, p.wakeKey, p.trySend)
+				p.pushWake(s.now, s.nextSeq())
 			}
 		}
 	case FaultLossBurst:
@@ -158,7 +158,7 @@ func (s *Simulator) applyFault(f Fault) {
 			if p := s.ports[link.ID()]; p != nil {
 				p.flush()
 				p.darkUntil = s.now + f.Duration
-				s.scheduleKey(p.darkUntil, p.wakeKey, p.trySend)
+				p.pushWake(p.darkUntil, s.nextSeq())
 			}
 		}
 	case FaultClockStep:
@@ -192,6 +192,9 @@ func (s *Simulator) Reprogram(schedule *model.Schedule, gcls map[model.LinkID]*g
 	if schedule == nil {
 		return fmt.Errorf("%w: reprogram with nil schedule", ErrBadConfig)
 	}
+	if err := s.resolveSchedule(schedule); err != nil {
+		return err
+	}
 	s.cfg.Schedule = schedule
 	s.cfg.GCLs = gcls
 	s.shed = make(map[model.StreamID]bool, len(shed))
@@ -208,12 +211,12 @@ func (s *Simulator) Reprogram(schedule *model.Schedule, gcls map[model.LinkID]*g
 		}
 		p.program = program
 		p.buildWindows()
-		s.scheduleKey(s.now, p.wakeKey, p.trySend)
+		p.pushWake(s.now, s.nextSeq())
 	}
 	// Rerouted event streams: each surviving possibility carries its
 	// parent's new path.
 	for _, st := range schedule.Streams {
-		if st.Type == model.StreamProb && st.Parent != "" {
+		if st.Type == model.StreamProb && st.Parent != "" && len(st.Path) > 0 {
 			s.ectPath[st.Parent] = st.Path
 		}
 	}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"time"
 
 	"etsn/internal/model"
@@ -23,10 +24,10 @@ type Frame struct {
 	// Created is the time the message was handed to the talker: the
 	// scheduled emission for TCT, the event occurrence for ECT.
 	Created time.Duration
-	// Path is the route; Hop indexes the link currently being crossed
-	// (or about to be crossed).
-	Path []model.LinkID
-	Hop  int
+	// route is the frame's path, resolved to output ports; Hop indexes the
+	// link currently being crossed (or about to be crossed).
+	route *route
+	Hop   int
 	// attrib carries the frame's causal latency record; nil (a free
 	// no-op) unless Config.Attribution is on and the frame post-dates the
 	// warm-up.
@@ -36,10 +37,60 @@ type Frame struct {
 	// disambiguates member copies sharing (stream, seq, frag) in the
 	// deterministic event order.
 	replica int32
+	// gen is the Reprogram generation a TCT fragment was scheduled under;
+	// a stale fragment is discarded when its emission comes up.
+	gen int32
+}
+
+// route is a path resolved once to its output ports (nil where another
+// shard owns the link), so forwarding does not hash a LinkID per hop.
+type route struct {
+	links []model.LinkID
+	ports []*outPort
+}
+
+// pathKey identifies a configured path by its backing array, which neither
+// the simulator nor the sharded engine ever copies.
+type pathKey struct {
+	first *model.LinkID
+	n     int
+}
+
+// resolve adds a path's route to s.routes; an empty path or a link the
+// network does not have is a configuration error.
+func (s *Simulator) resolve(path []model.LinkID) error {
+	if len(path) == 0 {
+		return fmt.Errorf("%w: empty path", ErrBadConfig)
+	}
+	r := &route{links: path, ports: make([]*outPort, len(path))}
+	for i, l := range path {
+		if _, ok := s.cfg.Network.LinkByID(l); !ok {
+			return fmt.Errorf("%w: path over unknown link %s", ErrBadConfig, l)
+		}
+		r.ports[i] = s.ports[l]
+	}
+	s.routes[pathKey{&path[0], len(path)}] = r
+	return nil
+}
+
+// routeOf returns the route of a path resolve has seen.
+func (s *Simulator) routeOf(path []model.LinkID) *route {
+	return s.routes[pathKey{&path[0], len(path)}]
+}
+
+// newFrame copies f into the run's frame arena, which allocates frames a
+// chunk at a time instead of one by one.
+func (s *Simulator) newFrame(f Frame) *Frame {
+	if len(s.arena) == 0 {
+		s.arena = make([]Frame, 256)
+	}
+	p := &s.arena[0]
+	*p, s.arena = f, s.arena[1:]
+	return p
 }
 
 // CurrentLink returns the link the frame must traverse next.
-func (f *Frame) CurrentLink() model.LinkID { return f.Path[f.Hop] }
+func (f *Frame) CurrentLink() model.LinkID { return f.route.links[f.Hop] }
 
 // LastHop reports whether the frame is on its final link.
-func (f *Frame) LastHop() bool { return f.Hop == len(f.Path)-1 }
+func (f *Frame) LastHop() bool { return f.Hop == len(f.route.links)-1 }

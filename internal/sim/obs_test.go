@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"etsn/internal/gcl"
 	"etsn/internal/model"
 	"etsn/internal/obs"
 )
@@ -204,24 +203,7 @@ func TestSimMetricsPopulated(t *testing.T) {
 // TestSimDropCauseMetrics forces jam drops (a gate that never opens) and
 // checks they land in the cause="jam" family.
 func TestSimDropCauseMetrics(t *testing.T) {
-	n := fig2Network(t)
-	period := time.Millisecond
-	sched := model.NewSchedule()
-	sched.Hyperperiod = period
-	path := mustPath(t, n, "D1", "D3")
-	st := &model.Stream{ID: "s1", Path: path, E2E: period, Priority: 3,
-		LengthBytes: model.MTUBytes, Period: period, Type: model.StreamDet}
-	sched.AddStream(st)
-	sched.AddSlot(model.FrameSlot{Stream: "s1", Link: path[0], Offset: 0, Length: 124,
-		Period: 1000, Priority: 3})
-	sched.Sort()
-	gcls, err := gcl.Synthesize(sched, gcl.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Force a GCL on the second hop that never opens gate 3.
-	gcls[path[1]] = &gcl.PortGCL{Link: path[1], Cycle: period,
-		Entries: []gcl.Entry{{Duration: period, Gates: 1 << model.PriorityBestEffort}}}
+	n, sched, gcls := jammedSecondHop(t)
 	reg := obs.NewRegistry()
 	s, err := New(Config{Network: n, Schedule: sched, GCLs: gcls,
 		Duration: 10 * time.Millisecond, Seed: 1, Obs: reg})

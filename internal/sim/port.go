@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
@@ -42,8 +43,12 @@ type outPort struct {
 	// be attributed to the class that occupied the port.
 	curTxEnd time.Duration
 	curTxPri int
-	// wakeAt is the earliest already-scheduled future wake-up, or zero.
-	wakeAt time.Duration
+	// wakeAt is the instant scheduleWake last armed; pend lists the instants
+	// this port has a wake-up on the event heap for, one each; doneSeq is the
+	// place in the event order of the current transmission's completion wake.
+	wakeAt  time.Duration
+	pend    []time.Duration
+	doneSeq int64
 	// down marks a failed link: arrivals drop until the link comes back.
 	down bool
 	// darkUntil holds the end of a switch-reboot dark window.
@@ -271,6 +276,7 @@ func (p *outPort) trySend() {
 		return
 	}
 	if p.busy > now {
+		p.pushWake(p.busy, p.doneSeq) // the completion wake, if transmit left it out
 		p.scheduleWake(p.busy)
 		return
 	}
@@ -288,13 +294,12 @@ func (p *outPort) trySend() {
 		if !ok {
 			// The gate never opens wide enough for this frame: it can
 			// never be transmitted. Drop it so the queue does not jam.
-			p.queues[pri] = q[1:]
-			p.depth--
+			p.popHead(pri)
 			p.drops++
 			p.sim.mDropsJam.Inc()
 			p.sim.recDrop(p.ord, head.Stream, now)
 			p.sim.trace.emit(now, "drop", head, p.link.ID())
-			p.sim.scheduleKey(now, p.wakeKey, p.trySend)
+			p.pushWake(now, p.sim.nextSeq())
 			return
 		}
 		sh := p.shapers[pri]
@@ -325,14 +330,43 @@ func (p *outPort) scheduleWake(at time.Duration) {
 		return
 	}
 	p.wakeAt = at
-	p.sim.scheduleKey(at, p.wakeKey, p.trySend)
+	p.pushWake(at, p.sim.nextSeq())
+}
+
+// pushWake puts a wake-up on the event heap unless one is already there for
+// that instant: a second trySend at one instant finds nothing left to do.
+func (p *outPort) pushWake(at time.Duration, seq int64) {
+	if slices.Contains(p.pend, at) {
+		return
+	}
+	p.pend = append(p.pend, at)
+	p.sim.events.push(event{at: at, key: p.wakeKey, seq: seq, kind: evWake, port: p})
+}
+
+// wake handles the port's wake-up event for the current instant.
+func (p *outPort) wake() {
+	if i := slices.Index(p.pend, p.sim.now); i >= 0 {
+		p.pend = slices.Delete(p.pend, i, i+1)
+	}
+	p.trySend()
+}
+
+// popHead removes the head frame of a priority queue without leaving it
+// reachable through the backing array, which a queue that empties keeps.
+func (p *outPort) popHead(pri int) {
+	q := p.queues[pri]
+	q[0] = nil
+	p.queues[pri] = q[1:]
+	if len(q) == 1 {
+		p.queues[pri] = q[:0]
+	}
+	p.depth--
 }
 
 // transmit sends the head frame of the given queue.
 func (p *outPort) transmit(f *Frame, pri int, tx time.Duration) {
 	now := p.sim.now
-	p.queues[pri] = p.queues[pri][1:]
-	p.depth--
+	p.popHead(pri)
 	p.mGateOpens.Inc()
 	if sh := p.shapers[pri]; sh != nil {
 		sh.onTransmit(now, tx)
@@ -386,10 +420,14 @@ func (p *outPort) transmit(f *Frame, pri int, tx time.Duration) {
 			// hand it off as a timestamped event instead of scheduling
 			// locally. Cut-link delays guarantee arrival lands at least one
 			// lookahead past the current window.
-			p.sim.shard.emit(Handoff{At: arrival, dst: dst, key: key, frame: f, over: p.link.ID()})
+			p.sim.shard.emit(Handoff{At: arrival, dst: dst, key: key, frame: f})
 		} else {
-			p.sim.scheduleKey(arrival, key, func() { p.sim.deliver(f, p.link) })
+			p.sim.push(arrival, key, event{kind: evDeliver, frame: f})
 		}
 	}
-	p.sim.scheduleKey(p.busy, p.wakeKey, p.trySend)
+	// The completion wake takes its place in the event order now, but goes
+	// on the heap only once there is a frame for it to send.
+	if p.doneSeq = p.sim.nextSeq(); p.depth > 0 {
+		p.pushWake(p.busy, p.doneSeq)
+	}
 }

@@ -350,3 +350,113 @@ func TestTraceJSONL(t *testing.T) {
 		t.Fatalf("too many frames unaccounted: %v", kinds)
 	}
 }
+
+// TestPopHeadReleasesFrame pins both removal paths (a transmission, a jam
+// drop) to popHead: the slot a frame leaves is cleared, so the queue's backing
+// array does not keep it reachable, and a queue that empties keeps that array.
+func TestPopHeadReleasesFrame(t *testing.T) {
+	p := portWith(t, []gcl.Entry{{Duration: time.Millisecond, Gates: 0xFF}}, time.Millisecond)
+	backing := make([]*Frame, 0, 4)
+	p.queues[3] = append(backing, &Frame{Seq: 1}, &Frame{Seq: 2})
+	p.depth = 2
+	p.popHead(3)
+	if backing[:2][0] != nil || len(p.queues[3]) != 1 || p.queues[3][0].Seq != 2 || p.depth != 1 {
+		t.Fatalf("after one pop: slot %v, queue %v, depth %d", backing[:2][0], p.queues[3], p.depth)
+	}
+	p.popHead(3)
+	if backing[:2][1] != nil || len(p.queues[3]) != 0 || p.depth != 0 {
+		t.Fatalf("after two pops: slot %v, queue %v, depth %d", backing[:2][1], p.queues[3], p.depth)
+	}
+	if cap(p.queues[3]) != 3 {
+		t.Fatalf("emptied queue has capacity %d, want the 3 slots from its last head on", cap(p.queues[3]))
+	}
+
+	// End to end: after a run with transmissions on the first hop and jam
+	// drops on the second, no port's queue memory still points at a frame.
+	n, sched, gcls := jammedSecondHop(t)
+	s, err := New(Config{Network: n, Schedule: sched, GCLs: gcls, Duration: 10 * time.Millisecond, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.TotalDrops() == 0 {
+		t.Fatal("scenario produced no jam drops")
+	}
+	for lid, port := range s.ports {
+		for pri, q := range port.queues {
+			for i, f := range q[:cap(q)] {
+				if f != nil {
+					t.Fatalf("%s queue %d slot %d still holds frame %s/%d", lid, pri, i, f.Stream, f.Seq)
+				}
+			}
+		}
+	}
+}
+
+// futureWakes counts, per (port, instant), the wake-up events on the heap.
+func futureWakes(s *Simulator) map[*outPort]map[time.Duration]int {
+	seen := make(map[*outPort]map[time.Duration]int)
+	for i := range s.events {
+		if e := &s.events[i]; e.kind == evWake {
+			if seen[e.port] == nil {
+				seen[e.port] = make(map[time.Duration]int)
+			}
+			seen[e.port][e.at]++
+		}
+	}
+	return seen
+}
+
+// TestOneWakePerPortAndInstant steps the event loop by hand and checks after
+// every event that no port has two wake-ups on the heap for the same instant,
+// and that the port's own record of its pending wakes is the heap's. The run
+// mixes gated TCT, ECT, a shaped class, background traffic and a reboot, so
+// gate wakes, shaper wakes, completion wakes and fault wakes all occur.
+func TestOneWakePerPortAndInstant(t *testing.T) {
+	n, res, gcls, ect := etsnPlan(t)
+	s, err := New(Config{Network: n, Schedule: res.Schedule, GCLs: gcls,
+		ECT: []ECTTraffic{{Stream: ect, Priority: model.PriorityECT}},
+		BestEffort: []BETraffic{
+			{Path: mustPath(t, n, "D1", "D3"), MeanGap: 300 * time.Microsecond},
+			{Path: mustPath(t, n, "D2", "D3"), MeanGap: 200 * time.Microsecond, Priority: 2},
+		},
+		CBS:      map[int]float64{2: 0.2},
+		Faults:   []Fault{{At: 20 * time.Millisecond, Kind: FaultSwitchReboot, Node: "SW1", Duration: 2 * time.Millisecond}},
+		Duration: 40 * time.Millisecond, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.prime()
+	wakes, steps := 0, 0
+	for s.events.Len() > 0 && s.events[0].at <= s.cfg.Duration {
+		e := s.events.pop()
+		if e.kind == evWake {
+			wakes++
+		}
+		s.dispatch(&e)
+		steps++
+		heap := futureWakes(s)
+		for _, p := range s.ports {
+			for at, count := range heap[p] {
+				if count > 1 {
+					t.Fatalf("step %d, t=%v: %d wakes for %s at %v", steps, s.now, count, p.link.ID(), at)
+				}
+			}
+			if len(p.pend) != len(heap[p]) {
+				t.Fatalf("step %d, t=%v: %s records %v pending, heap has %v", steps, s.now, p.link.ID(), p.pend, heap[p])
+			}
+			for _, at := range p.pend {
+				if heap[p][at] != 1 {
+					t.Fatalf("step %d: %s records a wake at %v the heap does not have", steps, p.link.ID(), at)
+				}
+			}
+		}
+	}
+	if wakes < 100 || s.results.Delivered(ect.ID) == 0 {
+		t.Fatalf("run too quiet to mean anything: %d wakes in %d events, %d ECT deliveries",
+			wakes, steps, s.results.Delivered(ect.ID))
+	}
+}

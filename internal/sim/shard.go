@@ -50,17 +50,10 @@ type Handoff struct {
 	dst   int
 	key   evKey
 	frame *Frame
-	over  model.LinkID
 }
 
 // Dst returns the shard index the handoff is addressed to.
 func (h Handoff) Dst() int { return h.dst }
-
-// ownsLink reports whether this simulator instance runs the given link's
-// output port (always true outside shard mode).
-func (s *Simulator) ownsLink(l model.LinkID) bool {
-	return s.shard == nil || s.shard.owner(l) == s.shard.idx
-}
 
 // ectOnShard reports whether event source i must run on this shard: it
 // launches frames from at least one port owned here (main route or a
@@ -71,11 +64,8 @@ func (s *Simulator) ectOnShard(i int) bool {
 		return true
 	}
 	src := s.cfg.ECT[i]
-	if len(src.Stream.Path) > 0 && s.ownsLink(src.Stream.Path[0]) {
-		return true
-	}
-	for _, p := range src.ExtraPaths {
-		if len(p) > 0 && s.ownsLink(p[0]) {
+	for _, p := range append([][]model.LinkID{src.Stream.Path}, src.ExtraPaths...) {
+		if s.routeOf(p).ports[0] != nil {
 			return true
 		}
 	}
@@ -103,7 +93,7 @@ func (s *Simulator) deliverDst(f *Frame) int {
 	if f.LastHop() {
 		dst = s.shard.listener[f.Stream]
 	} else {
-		dst = s.shard.owner(f.Path[f.Hop+1])
+		dst = s.shard.owner(f.route.links[f.Hop+1])
 	}
 	if dst == s.shard.idx {
 		return -1
@@ -397,12 +387,9 @@ func (sh *Shard) NextAt() (time.Duration, bool) {
 // Inject schedules a handoff received from another shard. Only safe
 // between windows (the barrier guarantees the shard's goroutine is parked).
 func (sh *Shard) Inject(h Handoff) {
-	link, ok := sh.s.cfg.Network.LinkByID(h.over)
-	if !ok {
-		return
-	}
-	f := h.frame
-	sh.s.scheduleKey(h.At, h.key, func() { sh.s.deliver(f, link) })
+	// Swap the sending shard's ports for this shard's view of the same path.
+	h.frame.route = sh.s.routeOf(h.frame.route.links)
+	sh.s.push(h.At, h.key, event{kind: evDeliver, frame: h.frame})
 }
 
 // RunWindow processes every pending event with timestamp in [now, until),
@@ -415,10 +402,8 @@ func (sh *Shard) RunWindow(until time.Duration) {
 			return
 		}
 		e := s.events.pop()
-		s.now = e.at
-		s.curKey = e.key
 		sh.processed++
-		e.fn()
+		s.dispatch(&e)
 	}
 }
 

@@ -178,9 +178,9 @@ type Simulator struct {
 	seen map[fragKey]bool
 	// trace is the optional event sink.
 	trace *tracer
-	// gen counts Reprogram calls; TCT talker loops die when their captured
-	// generation goes stale.
-	gen int64
+	// gen counts Reprogram calls; TCT talker loops and already scheduled
+	// fragments die when the generation they carry goes stale.
+	gen int32
 	// shed silences streams dropped by graceful degradation.
 	shed map[model.StreamID]bool
 	// beIDs caches BEStreamID per flow so the per-frame emission path does
@@ -188,6 +188,10 @@ type Simulator struct {
 	beIDs []model.StreamID
 	// ectPath overrides event-stream routes after a recovery reroute.
 	ectPath map[model.StreamID][]model.LinkID
+	// routes holds every configured path (and those of schedules Reprogram
+	// installs) resolved to ports; arena is the frame arena's current chunk.
+	routes map[pathKey]*route
+	arena  []Frame
 	// clockStep accumulates per-node clock-step faults on top of the
 	// configured ClockOffset model.
 	clockStep map[model.NodeID]time.Duration
@@ -273,6 +277,9 @@ func newSimulator(cfg Config, hooks *shardHooks) (*Simulator, error) {
 		if len(e.ExtraPaths) > 0 && !cfg.Eliminate {
 			return nil, fmt.Errorf("%w: ECT %q replicates but Eliminate is off", ErrBadConfig, e.Stream.ID)
 		}
+		if e.Stream.MinInterevent <= 0 {
+			return nil, fmt.Errorf("%w: ECT %q minimum interevent time %v", ErrBadConfig, e.Stream.ID, e.Stream.MinInterevent)
+		}
 	}
 	for lid, p := range cfg.LinkLoss {
 		if p < 0 || p >= 1 {
@@ -307,6 +314,7 @@ func newSimulator(cfg Config, hooks *shardHooks) (*Simulator, error) {
 		seen:      make(map[fragKey]bool),
 		shed:      make(map[model.StreamID]bool),
 		ectPath:   make(map[model.StreamID][]model.LinkID),
+		routes:    make(map[pathKey]*route),
 		clockStep: make(map[model.NodeID]time.Duration),
 		shard:     hooks,
 	}
@@ -372,7 +380,42 @@ func newSimulator(cfg Config, hooks *shardHooks) (*Simulator, error) {
 		}
 		s.ports[link.ID()] = p
 	}
+	for _, e := range cfg.ECT {
+		for _, path := range append([][]model.LinkID{e.Stream.Path}, e.ExtraPaths...) {
+			if err := s.resolve(path); err != nil {
+				return nil, fmt.Errorf("ECT %q: %w", e.Stream.ID, err)
+			}
+		}
+	}
+	for i, be := range cfg.BestEffort {
+		if be.Priority < 0 || be.Priority >= model.NumPriorities {
+			return nil, fmt.Errorf("%w: best-effort flow %d priority %d", ErrBadConfig, i, be.Priority)
+		}
+		if len(be.Path) == 0 {
+			continue // the flow is never started
+		}
+		if err := s.resolve(be.Path); err != nil {
+			return nil, fmt.Errorf("best-effort flow %d: %w", i, err)
+		}
+	}
+	if err := s.resolveSchedule(cfg.Schedule); err != nil {
+		return nil, err
+	}
 	return s, nil
+}
+
+// resolveSchedule resolves every path a schedule names: deterministic
+// streams emit on theirs, possibilities carry their event stream's reroute.
+func (s *Simulator) resolveSchedule(sc *model.Schedule) error {
+	for id, st := range sc.Streams {
+		if len(st.Path) == 0 {
+			continue
+		}
+		if err := s.resolve(st.Path); err != nil {
+			return fmt.Errorf("stream %q: %w", id, err)
+		}
+	}
+	return nil
 }
 
 // initDeterministic assigns the dense stream/link ordinals deterministic
@@ -442,14 +485,38 @@ func (s *Simulator) localTime(node model.NodeID, t time.Duration) time.Duration 
 	return out
 }
 
-// scheduleKey pushes an event with an explicit deterministic key (all-zero
-// outside deterministic mode, degenerating to insertion order).
-func (s *Simulator) scheduleKey(at time.Duration, key evKey, fn func()) {
+// push puts an event on the heap under its time, its deterministic key
+// (all-zero outside deterministic mode) and the next insertion sequence.
+func (s *Simulator) push(at time.Duration, key evKey, e event) {
 	if at < s.now {
 		at = s.now
 	}
+	e.at, e.key, e.seq = at, key, s.nextSeq()
+	s.events.push(e)
+}
+
+func (s *Simulator) nextSeq() int64 {
 	s.seq++
-	s.events.push(event{at: at, key: key, seq: s.seq, fn: fn})
+	return s.seq
+}
+
+// dispatch runs one popped event; Run and Shard.RunWindow share it.
+func (s *Simulator) dispatch(e *event) {
+	s.now = e.at
+	s.curKey = e.key
+	switch e.kind {
+	case evDeliver:
+		s.deliver(e.frame)
+	case evWake:
+		e.port.wake()
+	case evEmit:
+		if f := e.frame; f.gen == s.gen {
+			f.attrib = s.newAttrib(f)
+			f.route.ports[0].enqueue(f)
+		}
+	default:
+		e.fn()
+	}
 }
 
 // schedule pushes a user-ordered event: recovery hooks and After callbacks
@@ -460,7 +527,7 @@ func (s *Simulator) schedule(at time.Duration, fn func()) {
 		s.userSeq++
 		key = makeKey(evClassUser, -1, 0, s.userSeq, 0, 0, 0)
 	}
-	s.scheduleKey(at, key, fn)
+	s.push(at, key, event{fn: fn})
 }
 
 // prime schedules the initial event population: fault injections, TCT
@@ -474,7 +541,7 @@ func (s *Simulator) prime() {
 		if s.det {
 			key = makeKey(evClassFault, -1, int32(i), 0, 0, 0, 0)
 		}
-		s.scheduleKey(f.At, key, func() { s.applyFault(f) })
+		s.push(f.At, key, event{fn: func() { s.applyFault(f) }})
 	}
 	s.launchTCT(0)
 	s.startECTSources()
@@ -493,10 +560,8 @@ func (s *Simulator) Run() (*Results, error) {
 		if e.at > s.cfg.Duration {
 			break
 		}
-		s.now = e.at
-		s.curKey = e.key
 		processed++
-		e.fn()
+		s.dispatch(&e)
 	}
 	s.mEvents.Add(processed)
 	if elapsed := time.Since(wallStart).Seconds(); elapsed > 0 {
@@ -528,8 +593,9 @@ func (s *Simulator) launchTCT(from time.Duration) {
 		if st.Type != model.StreamDet || st.Reserve || s.cfg.Reserved[st.ID] || s.shed[st.ID] {
 			continue
 		}
-		if !s.ownsLink(st.Path[0]) {
-			continue
+		rt := s.routeOf(st.Path)
+		if rt.ports[0] == nil {
+			continue // another shard's talker
 		}
 		slots := s.cfg.Schedule.StreamSlots(st.ID, st.Path[0])
 		if len(slots) == 0 {
@@ -548,11 +614,11 @@ func (s *Simulator) launchTCT(from time.Duration) {
 		if from > 0 {
 			cycle = int64((from + st.Period - 1) / st.Period)
 		}
-		s.scheduleTCTCycle(gen, st, offsets, cycle)
+		s.scheduleTCTCycle(gen, st, rt, offsets, cycle)
 	}
 }
 
-func (s *Simulator) scheduleTCTCycle(gen int64, st *model.Stream, offsets []time.Duration, cycle int64) {
+func (s *Simulator) scheduleTCTCycle(gen int32, st *model.Stream, rt *route, offsets []time.Duration, cycle int64) {
 	base := time.Duration(cycle) * st.Period
 	if base > s.cfg.Duration {
 		return
@@ -564,43 +630,35 @@ func (s *Simulator) scheduleTCTCycle(gen int64, st *model.Stream, offsets []time
 	created := base + offsets[0]
 	frags := len(offsets)
 	for j := 0; j < frags; j++ {
-		j := j
-		at := base + offsets[j]
-		payload := fragmentBytes(st.LengthBytes, frags, j)
 		var key evKey
 		if s.det {
 			// sub=1 sorts emissions after the cycle reschedule (sub=0) when
 			// an offset-zero emission lands exactly on the cycle boundary.
 			key = makeKey(evClassTCT, -1, ord, cycle, 1, j, 0)
 		}
-		s.scheduleKey(at, key, func() {
-			if gen != s.gen {
-				return
-			}
-			f := &Frame{
-				Stream:       st.ID,
-				Seq:          cycle,
-				Frag:         j,
-				FragCount:    frags,
-				Priority:     st.Priority,
-				PayloadBytes: payload,
-				Created:      created,
-				Path:         st.Path,
-			}
-			f.attrib = s.newAttrib(f)
-			s.ports[f.CurrentLink()].enqueue(f)
+		f := s.newFrame(Frame{
+			Stream:       st.ID,
+			Seq:          cycle,
+			Frag:         j,
+			FragCount:    frags,
+			Priority:     st.Priority,
+			PayloadBytes: fragmentBytes(st.LengthBytes, frags, j),
+			Created:      created,
+			route:        rt,
+			gen:          gen,
 		})
+		s.push(base+offsets[j], key, event{kind: evEmit, frame: f})
 	}
 	var key evKey
 	if s.det {
 		key = makeKey(evClassTCT, -1, ord, cycle+1, 0, 0, 0)
 	}
-	s.scheduleKey(base+st.Period, key, func() {
+	s.push(base+st.Period, key, event{fn: func() {
 		if gen != s.gen {
 			return
 		}
-		s.scheduleTCTCycle(gen, st, offsets, cycle+1)
-	})
+		s.scheduleTCTCycle(gen, st, rt, offsets, cycle+1)
+	}})
 }
 
 // startECTSources schedules the first occurrence of every event source. A
@@ -638,7 +696,7 @@ func (s *Simulator) scheduleECTEvent(src ECTTraffic, idx int, rng *rand.Rand, ga
 	if s.det {
 		key = makeKey(evClassECT, -1, int32(idx), seq, 0, 0, 0)
 	}
-	s.scheduleKey(at, key, func() {
+	s.push(at, key, event{fn: func() {
 		if s.shed[src.Stream.ID] {
 			// Shed event sources stay silent but keep ticking so a later
 			// Reprogram could resume them.
@@ -650,18 +708,19 @@ func (s *Simulator) scheduleECTEvent(src ECTTraffic, idx int, rng *rand.Rand, ga
 		if p := s.ectPath[src.Stream.ID]; p != nil {
 			route = p
 		}
-		if s.ownsLink(route[0]) {
+		if s.routeOf(route).ports[0] != nil {
 			// Exactly one shard (the main route's owner) accounts the
 			// emission; replica launches elsewhere stay silent.
 			s.recEmitted(src.Stream.ID)
 		}
 		paths := append([][]model.LinkID{route}, src.ExtraPaths...)
 		for pi, path := range paths {
-			if !s.ownsLink(path[0]) {
-				continue
+			rt := s.routeOf(path)
+			if rt.ports[0] == nil {
+				continue // launched by the shard owning the first link
 			}
 			for j := 0; j < frags; j++ {
-				f := &Frame{
+				f := s.newFrame(Frame{
 					Stream:       src.Stream.ID,
 					Seq:          seq,
 					Frag:         j,
@@ -669,15 +728,15 @@ func (s *Simulator) scheduleECTEvent(src ECTTraffic, idx int, rng *rand.Rand, ga
 					Priority:     src.Priority,
 					PayloadBytes: fragmentBytes(src.Stream.LengthBytes, frags, j),
 					Created:      at,
-					Path:         path,
+					route:        rt,
 					replica:      int32(pi),
-				}
+				})
 				f.attrib = s.newAttrib(f)
-				s.ports[f.CurrentLink()].enqueue(f)
+				rt.ports[0].enqueue(f)
 			}
 		}
 		s.scheduleECTEvent(src, idx, rng, gap, at+gap(rng), seq+1)
-	})
+	}})
 }
 
 // BEStreamID names the i-th best-effort background flow in results and shed
@@ -696,10 +755,7 @@ func (s *Simulator) startBESources() {
 		if be.PayloadBytes == 0 {
 			be.PayloadBytes = model.MTUBytes
 		}
-		if be.MeanGap <= 0 || len(be.Path) == 0 {
-			continue
-		}
-		if !s.ownsLink(be.Path[0]) {
+		if be.MeanGap <= 0 || len(be.Path) == 0 || s.routeOf(be.Path).ports[0] == nil {
 			continue
 		}
 		rng := s.rng
@@ -707,11 +763,11 @@ func (s *Simulator) startBESources() {
 			rng = s.beRng[i]
 		}
 		first := time.Duration(rng.ExpFloat64() * float64(be.MeanGap))
-		s.scheduleBEFrame(be, i, rng, first, 0)
+		s.scheduleBEFrame(be, s.routeOf(be.Path), i, rng, first, 0)
 	}
 }
 
-func (s *Simulator) scheduleBEFrame(be BETraffic, flow int, rng *rand.Rand, at time.Duration, seq int64) {
+func (s *Simulator) scheduleBEFrame(be BETraffic, rt *route, flow int, rng *rand.Rand, at time.Duration, seq int64) {
 	if at > s.cfg.Duration {
 		return
 	}
@@ -719,32 +775,32 @@ func (s *Simulator) scheduleBEFrame(be BETraffic, flow int, rng *rand.Rand, at t
 	if s.det {
 		key = makeKey(evClassBE, -1, int32(flow), seq, 0, 0, 0)
 	}
-	s.scheduleKey(at, key, func() {
+	s.push(at, key, event{fn: func() {
 		id := s.beIDs[flow]
 		gap := time.Duration(rng.ExpFloat64() * float64(be.MeanGap))
 		if s.shed[id] {
-			s.scheduleBEFrame(be, flow, rng, at+gap, seq)
+			s.scheduleBEFrame(be, rt, flow, rng, at+gap, seq)
 			return
 		}
-		f := &Frame{
+		f := s.newFrame(Frame{
 			Stream:       id,
 			Seq:          seq,
 			FragCount:    1,
 			Priority:     be.Priority,
 			PayloadBytes: be.PayloadBytes,
 			Created:      at,
-			Path:         be.Path,
-		}
+			route:        rt,
+		})
 		f.attrib = s.newAttrib(f)
-		s.ports[f.CurrentLink()].enqueue(f)
-		s.scheduleBEFrame(be, flow, rng, at+gap, seq+1)
-	})
+		rt.ports[0].enqueue(f)
+		s.scheduleBEFrame(be, rt, flow, rng, at+gap, seq+1)
+	}})
 }
 
 // deliver handles a frame that finished crossing a link: forward at the next
 // switch, or complete the message at the destination device.
-func (s *Simulator) deliver(f *Frame, over *model.Link) {
-	s.trace.emit(s.now, "deliver", f, over.ID())
+func (s *Simulator) deliver(f *Frame) {
+	s.trace.emit(s.now, "deliver", f, f.CurrentLink())
 	f.attrib.endHop()
 	if s.cfg.TraceHops && f.Created >= s.cfg.WarmUp {
 		s.recHop(f.Stream, f.Hop, s.now-f.Created)
@@ -781,7 +837,7 @@ func (s *Simulator) deliver(f *Frame, over *model.Link) {
 		return
 	}
 	f.Hop++
-	s.ports[f.CurrentLink()].enqueue(f)
+	f.route.ports[f.Hop].enqueue(f)
 }
 
 // scoreBound scores a completed message against its stream's analytic

@@ -290,7 +290,11 @@ func TestSimAVBStyleUnallocated(t *testing.T) {
 	}
 }
 
-func TestSimDropsWhenGateNeverOpens(t *testing.T) {
+// jammedSecondHop builds a one-stream scenario whose first hop is scheduled
+// normally and whose second hop never opens the stream's gate, so every frame
+// is transmitted once and then dropped as a jam.
+func jammedSecondHop(t testing.TB) (*model.Network, *model.Schedule, map[model.LinkID]*gcl.PortGCL) {
+	t.Helper()
 	n := fig2Network(t)
 	period := time.Millisecond
 	sched := model.NewSchedule()
@@ -308,9 +312,13 @@ func TestSimDropsWhenGateNeverOpens(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Force a GCL on the second hop that never opens gate 3.
 	gcls[path[1]] = &gcl.PortGCL{Link: path[1], Cycle: period,
 		Entries: []gcl.Entry{{Duration: period, Gates: 1 << model.PriorityBestEffort}}}
+	return n, sched, gcls
+}
+
+func TestSimDropsWhenGateNeverOpens(t *testing.T) {
+	n, sched, gcls := jammedSecondHop(t)
 	s, err := New(Config{Network: n, Schedule: sched, GCLs: gcls,
 		Duration: 10 * time.Millisecond, Seed: 1})
 	if err != nil {
@@ -380,6 +388,12 @@ func TestSimConfigValidation(t *testing.T) {
 	n := fig2Network(t)
 	sched := model.NewSchedule()
 	sched.Hyperperiod = time.Millisecond
+	good := mustPath(t, n, "D1", "D3")
+	bad := []model.LinkID{good[0], {From: good[0].To, To: "nowhere"}}
+	badTCT := model.NewSchedule()
+	badTCT.Hyperperiod = time.Millisecond
+	badTCT.AddStream(&model.Stream{ID: "s1", Path: bad, E2E: time.Millisecond,
+		LengthBytes: model.MTUBytes, Period: time.Millisecond, Type: model.StreamDet})
 	cases := []struct {
 		name string
 		cfg  Config
@@ -391,6 +405,23 @@ func TestSimConfigValidation(t *testing.T) {
 			ECT: []ECTTraffic{{}}}},
 		{"bad ect priority", Config{Network: n, Schedule: sched, Duration: time.Second,
 			ECT: []ECTTraffic{{Stream: &model.ECT{ID: "x"}, Priority: 9}}}},
+		// Shapes that used to get past New and panic mid-run.
+		{"be priority too high", Config{Network: n, Schedule: sched, Duration: time.Second,
+			BestEffort: []BETraffic{{Path: good, MeanGap: time.Millisecond, Priority: model.NumPriorities}}}},
+		{"be priority negative", Config{Network: n, Schedule: sched, Duration: time.Second,
+			BestEffort: []BETraffic{{Path: good, MeanGap: time.Millisecond, Priority: -1}}}},
+		{"be unknown link", Config{Network: n, Schedule: sched, Duration: time.Second,
+			BestEffort: []BETraffic{{Path: bad, MeanGap: time.Millisecond}}}},
+		{"ect empty path", Config{Network: n, Schedule: sched, Duration: time.Second,
+			ECT: []ECTTraffic{{Stream: &model.ECT{ID: "x", LengthBytes: 100, MinInterevent: time.Millisecond}}}}},
+		{"ect zero interevent", Config{Network: n, Schedule: sched, Duration: time.Second,
+			ECT: []ECTTraffic{{Stream: &model.ECT{ID: "x", Path: good, LengthBytes: 100}}}}},
+		{"ect unknown link", Config{Network: n, Schedule: sched, Duration: time.Second,
+			ECT: []ECTTraffic{{Stream: &model.ECT{ID: "x", Path: bad, LengthBytes: 100, MinInterevent: time.Millisecond}}}}},
+		{"ect replica unknown link", Config{Network: n, Schedule: sched, Duration: time.Second, Eliminate: true,
+			ECT: []ECTTraffic{{Stream: &model.ECT{ID: "x", Path: good, LengthBytes: 100, MinInterevent: time.Millisecond},
+				ExtraPaths: [][]model.LinkID{bad}}}}},
+		{"tct unknown link", Config{Network: n, Schedule: badTCT, Duration: time.Second}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

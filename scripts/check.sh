@@ -1,8 +1,9 @@
 #!/bin/sh
 # check.sh — the tier-1 gate. Everything a change must pass before merge:
 # vet, build, the full test suite under the race detector, the CLI,
-# scheduler and experiment suites at three GOMAXPROCS widths, a one-iteration
-# benchmark smoke, a bench-artifact round trip (emit BENCH_smoke.json with
+# scheduler, experiment and simulator suites at three GOMAXPROCS widths, a
+# one-iteration benchmark smoke (the simulator benchmarks print events/op and
+# allocs/event), a bench-artifact round trip (emit BENCH_smoke.json with
 # etsn-bench, fail if it does not validate), an attribution round trip
 # (etsn-sim -attrib -trace piped through etsn-trace must reproduce the
 # committed golden report), the end-to-end daemon gate (etsn-cncd under
@@ -32,12 +33,14 @@ go build ./...
 echo "==> go test -race ./..."
 go test -race ./...
 
-echo "==> go test under GOMAXPROCS=1,2,8 (CLI, scheduler, experiments)"
-# Worker fan-outs, tracer lanes and the decomposition pool all size
-# themselves from GOMAXPROCS; a test that only holds at the width of the
-# machine it was written on has to fail here, not on the next host.
+echo "==> go test under GOMAXPROCS=1,2,8 (CLI, scheduler, experiments, simulators)"
+# Worker fan-outs, tracer lanes, the decomposition pool and the sharded
+# engine's default shard count all size themselves from GOMAXPROCS; a test
+# that only holds at the width of the machine it was written on has to fail
+# here, not on the next host.
 for procs in 1 2 8; do
-    GOMAXPROCS="$procs" go test -count=1 ./cmd/... ./internal/core/... ./internal/experiments/...
+    GOMAXPROCS="$procs" go test -count=1 ./cmd/... ./internal/core/... ./internal/experiments/... \
+        ./internal/sim/... ./internal/psim/...
 done
 
 echo "==> go test -race ./internal/smt/... (solver core, explicit)"
