@@ -1,7 +1,6 @@
 package etsn_test
 
 import (
-	"context"
 	"errors"
 	"runtime"
 	"testing"
@@ -407,7 +406,7 @@ func BenchmarkCDCLvsReference(b *testing.B) {
 }
 
 // BenchmarkSMTSolve measures the single deterministic search on a job-shop
-// instance; the baseline for BenchmarkSMTSolvePortfolio.
+// instance.
 func BenchmarkSMTSolve(b *testing.B) {
 	const n, length = 10, 10
 	horizon := int64((n - 1) * length)
@@ -416,21 +415,6 @@ func BenchmarkSMTSolve(b *testing.B) {
 		s := jobShopSolver(n, length, horizon)
 		b.StartTimer()
 		if _, err := s.Solve(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSMTSolvePortfolio measures a 4-replica diversified portfolio on
-// the same instance: first definitive answer wins, the rest are cancelled.
-func BenchmarkSMTSolvePortfolio(b *testing.B) {
-	const n, length = 10, 10
-	horizon := int64((n - 1) * length)
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		s := jobShopSolver(n, length, horizon)
-		b.StartTimer()
-		if _, err := s.SolvePortfolio(context.Background(), 4); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -13,8 +13,7 @@
 //
 //	etsn-bench [-experiment all|headline|fig11|fig12|fig14|fig15|fig16]
 //	           [-duration 4s] [-seed 60802] [-parallel N]
-//	           [-engine seq|shard] [-shards N]
-//	           [-backend auto|placer|greedy|anneal|smt|smt-incremental|cascade]
+//	           [-backend auto|placer|greedy|smt|smt-incremental|cascade]
 //	           [-backend-compare]
 //	           [-compare-sequential] [-attrib]
 //	           [-metrics out.prom] [-trace-phases out.trace.json]
@@ -35,12 +34,6 @@
 // -history FILE appends one JSON line per completed experiment
 // ({"experiment","wall_ms","parallel","seed"}) so wall-time trends
 // accumulate across runs (see bench/history.jsonl).
-//
-// -engine shard runs every simulation on the conservative-parallel sharded
-// engine (internal/psim) with -shards workers; tables stay byte-identical
-// because the sharded engine reproduces the sequential results exactly.
-// The scale experiment additionally sweeps the sharded engine over shard
-// counts 1/2/4/8 and emits BENCH_psim.json, gated by -check-bench.
 //
 // -trend FILE analyzes an accumulated history file: each experiment's
 // newest wall time is compared against the median of its previous (up to
@@ -113,10 +106,7 @@ func run(args []string, w io.Writer) error {
 	compareSeq := fs.Bool("compare-sequential", false, "rerun each experiment with -parallel 1 and record both wall times in the bench artifact")
 	attribOn := fs.Bool("attrib", false, "enable per-frame latency attribution in every simulation")
 	history := fs.String("history", "", "append one {experiment, wall_ms, parallel, seed} JSON line per run to this file")
-	engine := fs.String("engine", "", "simulation engine for every run: seq (default) or shard (conservative-parallel, internal/psim)")
-	shards := fs.Int("shards", 0, "shard count for -engine shard (0 = GOMAXPROCS)")
-	backendName := fs.String("backend", "", "scheduling backend for every plan: auto (default), placer, greedy, anneal, smt, smt-incremental, or cascade")
-	decompose := fs.Bool("decompose", false, "split every E-TSN solve into conflict-graph components solved independently and merged")
+	backendName := fs.String("backend", "", "scheduling backend for every plan: auto (default), placer, greedy, smt, smt-incremental, or cascade")
 	backendCompare := fs.Bool("backend-compare", false, "append a per-backend comparison section to the fig11/fig14 tables (walls are not byte-stable)")
 	trend := fs.String("trend", "", "analyze a wall-time history file (bench/history.jsonl) for regressions and exit")
 	trendThreshold := fs.Float64("trend-threshold", 0.10, "flag a run whose wall time exceeds its rolling baseline by more than this fraction")
@@ -161,8 +151,7 @@ func run(args []string, w io.Writer) error {
 		return err
 	}
 	opts := experiments.RunOptions{Duration: *duration, Seed: *seed, Parallel: *parallel,
-		Attribution: *attribOn, Engine: *engine, Shards: *shards,
-		Backend: backend, Decompose: *decompose, BackendCompare: *backendCompare}
+		Attribution: *attribOn, Backend: backend, BackendCompare: *backendCompare}
 
 	// -dash: serve the live dashboard for the whole run. Each experiment
 	// publishes its fresh registry/tracer as it starts (runOne), so SSE
@@ -286,26 +275,9 @@ func run(args []string, w io.Writer) error {
 				return err
 			}
 			r.WriteTable(w)
-			// The scale run also sweeps the parallel engine over shard
-			// counts on the same scenario, emitting a second artifact
-			// (BENCH_psim.json) gated on byte-identical results.
-			start := time.Now()
-			sweep, err := experiments.PsimSweep(o)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintln(w)
-			sweep.WriteTable(w)
-			art := sweep.Artifact(o, time.Since(start))
-			if err := art.Write(filepath.Join(*benchDir, "BENCH_psim.json")); err != nil {
-				return err
-			}
-			if err := art.Validate(); err != nil {
-				return err
-			}
-			// The decomposition corpus sweep: monolithic vs decomposed
-			// solver walls over the tree/mesh cell grid, attached to this
-			// run's artifact (BENCH_scale.json) and gated by -check-bench.
+			// The scaling corpus sweep: solver walls over the tree/mesh
+			// cell grid, attached to this run's artifact (BENCH_scale.json)
+			// and gated by -check-bench.
 			ss, err := experiments.ScaleSweep(o)
 			if err != nil {
 				return err

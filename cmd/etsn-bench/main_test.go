@@ -205,6 +205,19 @@ func TestRunBadFlag(t *testing.T) {
 	}
 }
 
+// TestRemovedFlagsRejected: the flags of the deleted engine and
+// decomposition are unknown-flag errors; -parallel, the cell worker pool, is
+// a different thing and stays.
+func TestRemovedFlagsRejected(t *testing.T) {
+	for _, flag := range [][]string{{"-engine", "shard"}, {"-shards", "4"}, {"-decompose"}} {
+		var buf bytes.Buffer
+		err := run(append([]string{"-experiment", "headline"}, flag...), &buf)
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("%v: err = %v, want an unknown-flag error", flag, err)
+		}
+	}
+}
+
 func TestRunAllExperiments(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment sweep")

@@ -6,8 +6,8 @@
 // Usage:
 //
 //	etsn-sched -config network.json [-out deployment.json] [-quiet] [-v]
-//	           [-parallel N] [-bounds bounds.json]
-//	           [-backend auto|placer|greedy|anneal|smt|smt-incremental|cascade]
+//	           [-bounds bounds.json]
+//	           [-backend auto|placer|greedy|smt|smt-incremental|cascade]
 //	           [-metrics out.prom] [-trace-phases out.trace.json]
 //	           [-pprof cpu=FILE|mem=FILE|HOST:PORT]
 //	           [-dash HOST:PORT]
@@ -17,15 +17,10 @@
 // embedded page — and keeps serving after the deployment is written until
 // SIGINT/SIGTERM, then drains gracefully and exits 0.
 //
-// -parallel N runs a portfolio of N diversified SMT replicas when the
-// monolithic solver is selected; the first definitive answer wins and the
-// rest are cancelled. N <= 1 keeps the single deterministic search. It
-// overrides the configuration's options.portfolio.
-//
 // -backend selects the scheduling backend, overriding the configuration's
-// options.backend: the first-fit or ALAP-greedy placer, the annealing
-// phase-shift search, the exact SMT solvers, or "cascade" — those one at a
-// time in priority order, stopping at the first verified plan.
+// options.backend: the first-fit or ALAP-greedy placer, the exact SMT
+// solvers, or "cascade" — those one at a time in priority order, stopping
+// at the first verified plan.
 //
 // -bounds FILE writes the analytic per-stream worst-case latencies as
 // JSON ({"stream": nanoseconds}), the same bounds the simulator scores
@@ -68,9 +63,7 @@ func run(args []string) error {
 	metrics := fs.String("metrics", "", "write scheduler metrics to this file (.json for JSON, else Prometheus text)")
 	tracePhases := fs.String("trace-phases", "", "write a Chrome trace_event JSON file of planner phases")
 	pprofSpec := fs.String("pprof", "", "profiling: cpu=FILE, mem=FILE, or HOST:PORT for a live pprof server")
-	parallel := fs.Int("parallel", 0, "diversified SMT portfolio width for the monolithic solver (overrides the config; <= 1 keeps the single search)")
-	backend := fs.String("backend", "", "scheduling backend (overrides the config): auto, placer, greedy, anneal, smt, smt-incremental, or cascade")
-	decompose := fs.Bool("decompose", false, "split the solve into conflict-graph components solved independently and merged (overrides the config)")
+	backend := fs.String("backend", "", "scheduling backend (overrides the config): auto, placer, greedy, smt, smt-incremental, or cascade")
 	boundsPath := fs.String("bounds", "", "write the analytic per-stream worst-case bounds as JSON to this file")
 	dashAddr := fs.String("dash", "", "serve the live dashboard on this address (e.g. :8080; keeps serving after the run until SIGINT/SIGTERM)")
 	if err := fs.Parse(args); err != nil {
@@ -96,17 +89,11 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	if *parallel > 0 {
-		cfg.Options.Portfolio = *parallel
-	}
 	if *backend != "" {
 		if _, err := core.ParseBackend(*backend); err != nil {
 			return fmt.Errorf("%w: %v", qcc.ErrBadConfig, err)
 		}
 		cfg.Options.Backend = *backend
-	}
-	if *decompose {
-		cfg.Options.Decompose = true
 	}
 	if *metrics != "" || *verbose || *dashAddr != "" {
 		cfg.Obs = obs.NewRegistry()

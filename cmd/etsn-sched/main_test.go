@@ -67,6 +67,17 @@ func TestRunMissingConfig(t *testing.T) {
 	}
 }
 
+// TestRemovedFlagsRejected: the flags of the deleted decomposition and SMT
+// portfolio are unknown-flag errors, not silently accepted no-ops.
+func TestRemovedFlagsRejected(t *testing.T) {
+	for _, flag := range [][]string{{"-decompose"}, {"-parallel", "4"}} {
+		err := run(append([]string{"-config", writeConfig(t), "-quiet"}, flag...))
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("%v: err = %v, want an unknown-flag error", flag, err)
+		}
+	}
+}
+
 func TestRunBadConfigPath(t *testing.T) {
 	if err := run([]string{"-config", "/does/not/exist.json", "-quiet"}); err == nil {
 		t.Fatal("expected error for missing file")

@@ -5,28 +5,21 @@
 // Usage:
 //
 //	etsn-sim -config network.json [-method etsn|period|avb] [-duration 4s]
-//	         [-seed 1] [-multiplier 1] [-parallel N] [-json]
-//	         [-backend auto|placer|greedy|anneal|smt|smt-incremental|cascade]
-//	         [-engine seq|shard] [-shards N]
+//	         [-seed 1] [-multiplier 1] [-json]
+//	         [-backend auto|placer|greedy|smt|smt-incremental|cascade]
 //	         [-fail-link SW1->SW2 -fail-at 1s -heal-after 500ms]
 //	         [-metrics out.prom] [-trace-phases out.trace.json]
 //	         [-pprof cpu=FILE|mem=FILE|HOST:PORT]
 //	         [-attrib] [-trace-hops] [-trace FILE] [-trace-lanes FILE]
 //	         [-dash HOST:PORT [-dash-history bench/history.jsonl]]
 //
-// -engine shard runs the simulation on the conservative-parallel sharded
-// engine (internal/psim) with -shards workers (default GOMAXPROCS); its
-// results are byte-identical to the sequential engine in deterministic
-// mode, so tables and traces do not depend on the engine choice.
+// -backend selects the E-TSN scheduling backend (the placers, the exact SMT
+// solvers, or "cascade" — those one at a time in priority order, stopping
+// at the first verified plan), overriding the configuration's
+// options.backend. It only affects -method etsn.
 //
-// -parallel N runs a portfolio of N diversified SMT replicas during
-// planning when the monolithic solver is selected (<= 1 keeps the single
-// deterministic search).
-//
-// -backend selects the E-TSN scheduling backend (heuristic placers and
-// searches, the exact SMT solvers, or "cascade" — those one at a time in
-// priority order, stopping at the first verified plan), overriding the
-// configuration's options.backend. It only affects -method etsn.
+// Exit codes are etsn-sched's and the daemon's (service.Classify):
+// 1 internal, 2 invalid input, 3 infeasible, 4 solver timeout.
 //
 // -dash serves the live observability dashboard (internal/dash) on the
 // given address: the embedded page at /, JSON snapshots at /api/metrics,
@@ -57,6 +50,7 @@ import (
 	"etsn/internal/obs"
 	"etsn/internal/qcc"
 	"etsn/internal/sched"
+	"etsn/internal/service"
 	"etsn/internal/sim"
 	"etsn/internal/stats"
 )
@@ -64,7 +58,7 @@ import (
 func main() {
 	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "etsn-sim:", err)
-		os.Exit(1)
+		os.Exit(service.Classify(err).ExitCode())
 	}
 }
 
@@ -83,11 +77,7 @@ func run(args []string) error {
 	metrics := fs.String("metrics", "", "write planner+simulator metrics to this file (.json for JSON, else Prometheus text)")
 	tracePhases := fs.String("trace-phases", "", "write a Chrome trace_event JSON file of planner/simulation phases")
 	pprofSpec := fs.String("pprof", "", "profiling: cpu=FILE, mem=FILE, or HOST:PORT for a live pprof server")
-	parallel := fs.Int("parallel", 0, "diversified SMT portfolio width during planning (<= 1 keeps the single search)")
-	backend := fs.String("backend", "", "E-TSN scheduling backend (overrides the config): auto, placer, greedy, anneal, smt, smt-incremental, or cascade")
-	decompose := fs.Bool("decompose", false, "split the E-TSN solve into conflict-graph components solved independently and merged (overrides the config)")
-	engine := fs.String("engine", sched.EngineSeq, "simulation engine: seq (sequential oracle) or shard (conservative-parallel)")
-	shards := fs.Int("shards", 0, "shard count for -engine shard (0 = GOMAXPROCS)")
+	backend := fs.String("backend", "", "E-TSN scheduling backend (overrides the config): auto, placer, greedy, smt, smt-incremental, or cascade")
 	attrib := fs.Bool("attrib", false, "attribute each frame's latency to queue/gate/preempt/tx/prop phases and score bound conformance")
 	traceHops := fs.Bool("trace-hops", false, "record per-hop completion latencies in the results")
 	traceLanes := fs.String("trace-lanes", "", "write attributed frames as a Chrome trace_event lane file (requires -attrib)")
@@ -147,25 +137,20 @@ func run(args []string) error {
 		}
 		cfg.Options.Backend = *backend
 	}
-	if *decompose {
-		cfg.Options.Decompose = true
-	}
 	p, err := cfg.BuildProblem()
 	if err != nil {
 		return err
 	}
 	prob := sched.Problem{
-		Network:   p.Network,
-		TCT:       p.TCT,
-		ECT:       p.ECT,
-		NProb:     p.Opts.NProb,
-		Spread:    p.Opts.SpreadFrames,
-		Obs:       reg,
-		Phases:    phases,
-		Portfolio: *parallel,
-		Backend:   p.Opts.Backend,
-		Timeout:   p.Opts.Timeout,
-		Decompose: p.Opts.Decompose,
+		Network: p.Network,
+		TCT:     p.TCT,
+		ECT:     p.ECT,
+		NProb:   p.Opts.NProb,
+		Spread:  p.Opts.SpreadFrames,
+		Obs:     reg,
+		Phases:  phases,
+		Backend: p.Opts.Backend,
+		Timeout: p.Opts.Timeout,
 	}
 	plan, err := sched.Build(method, prob, *multiplier)
 	if err != nil {
@@ -175,7 +160,7 @@ func run(args []string) error {
 		return fmt.Errorf("-trace-lanes requires -attrib")
 	}
 	simOpts := sched.SimOptions{ECT: p.ECT, Duration: *duration, Seed: *seed, Obs: reg,
-		Attribution: *attrib, TraceHops: *traceHops, Engine: *engine, Shards: *shards}
+		Attribution: *attrib, TraceHops: *traceHops}
 	if *failLink != "" {
 		lid, err := model.ParseLinkID(*failLink)
 		if err != nil {
@@ -336,7 +321,7 @@ func parseMethod(name string) (sched.Method, error) {
 	case "cqf", "CQF":
 		return sched.MethodCQF, nil
 	default:
-		return 0, fmt.Errorf("unknown method %q (want etsn, period, avb, or cqf)", name)
+		return 0, fmt.Errorf("%w: unknown method %q (want etsn, period, avb, or cqf)", sched.ErrPlan, name)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"etsn/internal/sched"
+	"etsn/internal/service"
 )
 
 const testConfig = `{
@@ -188,5 +189,48 @@ func TestRunDashHistoryRequiresDash(t *testing.T) {
 	err := run([]string{"-config", cfg, "-duration", "50ms", "-dash-history", "x.jsonl"})
 	if err == nil || !strings.Contains(err.Error(), "-dash-history requires -dash") {
 		t.Fatalf("want -dash-history guard, got %v", err)
+	}
+}
+
+// TestExitCodes pins etsn-sim's exit codes to the classes etsn-sched and the
+// daemon use (service.Classify): every failure used to exit 1.
+func TestExitCodes(t *testing.T) {
+	writeTo := func(doc string) string {
+		path := filepath.Join(t.TempDir(), "c.json")
+		if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	infeasible := strings.Replace(testConfig, `"max_latency_us": 744`, `"max_latency_us": 2`, 1)
+	for _, tc := range []struct {
+		name string
+		args []string
+		want int
+	}{
+		{"feasible", []string{"-config", writeConfig(t), "-duration", "20ms"}, 0},
+		{"bad duration", []string{"-config", writeConfig(t), "-duration", "0s"}, 2},
+		{"unknown method", []string{"-config", writeConfig(t), "-method", "teleport"}, 2},
+		{"unknown backend", []string{"-config", writeConfig(t), "-backend", "anneal"}, 2},
+		{"malformed config", []string{"-config", writeTo(`{"network":`)}, 2},
+		{"infeasible config", []string{"-config", writeTo(infeasible), "-duration", "20ms"}, 3},
+		{"missing file", []string{"-config", "/does/not/exist.json"}, 1},
+	} {
+		err := run(tc.args)
+		if got := service.Classify(err).ExitCode(); got != tc.want {
+			t.Errorf("%s: exit %d (%v), want %d", tc.name, got, err, tc.want)
+		}
+	}
+}
+
+// TestRemovedFlagsRejected: the flags of the deleted engine, decomposition
+// and portfolio are unknown-flag errors, not silently accepted no-ops.
+func TestRemovedFlagsRejected(t *testing.T) {
+	cfg := writeConfig(t)
+	for _, flag := range [][]string{{"-engine", "shard"}, {"-shards", "4"}, {"-decompose"}, {"-parallel", "4"}} {
+		err := run(append([]string{"-config", cfg, "-duration", "20ms"}, flag...))
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("%v: err = %v, want an unknown-flag error", flag, err)
+		}
 	}
 }

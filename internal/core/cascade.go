@@ -9,10 +9,10 @@ import (
 
 // DefaultCascade is the order BackendCascade walks when Options.Cascade is
 // empty: the cheap placers first (they close almost every instance, and
-// then nothing behind them runs), the phase-shift heuristic next, and the
-// exact incremental SMT solver last as the completeness anchor.
+// then nothing behind them runs) and the exact incremental SMT solver last
+// as the completeness anchor.
 func DefaultCascade() []Backend {
-	return []Backend{BackendPlacer, BackendGreedy, BackendAnneal, BackendSMTIncremental}
+	return []Backend{BackendPlacer, BackendGreedy, BackendSMTIncremental}
 }
 
 // solveCascade walks the priority list one backend at a time and returns
@@ -61,7 +61,7 @@ func solveCascade(ctx context.Context, inst *instance) (*Result, error) {
 // runStages runs the backends in order and returns the first plan; failing
 // that, errs[i] is why order[i] produced none. Once ctx is done the
 // remaining stages are not run. Under a deadline every stage but the last
-// gets half the time left when it starts: a heuristic grinding to its budget
+// gets half the time left when it starts: a stage grinding to its budget
 // must not starve the exact backend behind it of its infeasibility verdict.
 func runStages(ctx context.Context, inst *instance, order []Backend, verify bool) (*Result, []error) {
 	errs := make([]error, len(order))

@@ -19,8 +19,7 @@ const mtuTx = 124 * time.Microsecond
 // lineProblem is two streams from D2 over the SW1->SW2 trunk of the
 // random-scenario network that only the first-fit placer closes: the second
 // stream has to wrap into the next period, which the SMT formulation cannot
-// express, the rigid chains of the annealer cannot reach and the ALAP
-// placer finds no slot for.
+// express and the ALAP placer finds no slot for.
 func lineProblem(t *testing.T) *core.Problem {
 	n, _ := core.RandomProblem(t, 1)
 	p := &core.Problem{Network: n}
@@ -67,9 +66,8 @@ func TestCascadeFingerprintsPinned(t *testing.T) {
 	// Orders whose head fails: the plan is the placer's from wherever it sits.
 	for _, order := range [][]core.Backend{
 		{core.BackendSMTIncremental, core.BackendPlacer},
-		{core.BackendAnneal, core.BackendPlacer},
 		{core.BackendGreedy, core.BackendPlacer},
-		{core.BackendSMTIncremental, core.BackendAnneal, core.BackendGreedy, core.BackendPlacer},
+		{core.BackendSMTIncremental, core.BackendGreedy, core.BackendPlacer},
 	} {
 		p := lineProblem(t)
 		p.Opts.Backend = core.BackendCascade
@@ -91,11 +89,11 @@ func solves(reg *obs.Registry, b core.Backend) int64 {
 
 // TestCascadeBudget: a context that is done stops the cascade — before the
 // first stage or between two — with ErrBudget and without running what is
-// left; a deadline is split so that a heuristic grinding to its budget
-// leaves the exact backend behind it the time to prove infeasibility.
+// left; a deadline is split so that a stage grinding to its budget leaves
+// the exact backend behind it the time to prove infeasibility.
 func TestCascadeBudget(t *testing.T) {
-	// The Sec. VI-C instance at 75 % load: the annealer grinds on it for
-	// seconds (the placers close it in milliseconds).
+	// The Sec. VI-C instance at 75 % load: the incremental SMT backend
+	// grinds on it for seconds (the placers close it in milliseconds).
 	dense := func(order ...core.Backend) *core.Problem {
 		scen, err := experiments.NewSimulationScenario(0.75, 5, 1, experiments.DefaultSeed)
 		if err != nil {
@@ -125,9 +123,10 @@ func TestCascadeBudget(t *testing.T) {
 	t.Run("cancelled between two stages", func(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
-		p := dense(core.BackendAnneal, core.BackendPlacer)
-		// Lands inside the annealer's seconds-long search (on a starved host,
-		// before it: then this is the case above again).
+		p := dense(core.BackendSMTIncremental, core.BackendPlacer)
+		// Lands inside the incremental solver's seconds-long sequence of
+		// re-solves (on a starved host, before it: then this is the case
+		// above again).
 		time.AfterFunc(50*time.Millisecond, cancel)
 		if _, err := core.ScheduleContext(ctx, p); !errors.Is(err, core.ErrBudget) {
 			t.Fatalf("err = %v, want ErrBudget", err)
@@ -138,10 +137,11 @@ func TestCascadeBudget(t *testing.T) {
 	})
 
 	t.Run("deadline leaves the exact stage its verdict", func(t *testing.T) {
-		// Two streams overfilling D1's uplink come first, so the incremental
-		// SMT backend proves the instance infeasible at its second stream,
-		// while the annealer ahead of it never gets its conflicts to zero.
-		p := dense(core.BackendAnneal, core.BackendSMTIncremental)
+		// Two streams overfilling D1's uplink come last, so the incremental
+		// SMT backend would reach them only after tens of seconds of
+		// re-solves, while the monolithic solve behind it sees the whole
+		// system at once and proves it infeasible in a fraction of a second.
+		p := dense(core.BackendSMTIncremental, core.BackendSMT)
 		path, err := p.Network.ShortestPath("D1", "D2")
 		if err != nil {
 			t.Fatal(err)
@@ -153,15 +153,15 @@ func TestCascadeBudget(t *testing.T) {
 				Path: path, Period: period, E2E: period,
 				LengthBytes: frames * model.MTUBytes, Type: model.StreamDet})
 		}
-		p.TCT = append(doomed, p.TCT...)
-		p.Opts.Timeout = 600 * time.Millisecond
+		p.TCT = append(p.TCT, doomed...)
+		p.Opts.Timeout = 3 * time.Second
 		start := time.Now()
 		_, err = core.Schedule(p)
 		if !errors.Is(err, core.ErrInfeasible) {
 			t.Fatalf("err = %v after %v, want the exact stage's ErrInfeasible", err, time.Since(start))
 		}
-		if a, s := solves(p.Opts.Obs, core.BackendAnneal), solves(p.Opts.Obs, core.BackendSMTIncremental); a != 1 || s != 1 {
-			t.Errorf("anneal ran %d time(s), smt-incremental %d; want 1 and 1", a, s)
+		if i, s := solves(p.Opts.Obs, core.BackendSMTIncremental), solves(p.Opts.Obs, core.BackendSMT); i != 1 || s != 1 {
+			t.Errorf("smt-incremental ran %d time(s), smt %d; want 1 and 1", i, s)
 		}
 	})
 }

@@ -15,7 +15,7 @@ import (
 
 // allConcreteBackends are the backends a cascade may contain.
 var allConcreteBackends = []Backend{
-	BackendPlacer, BackendGreedy, BackendAnneal,
+	BackendPlacer, BackendGreedy,
 	BackendSMT, BackendSMTIncremental,
 }
 
@@ -37,9 +37,9 @@ func TestParseBackendRoundTrip(t *testing.T) {
 		t.Fatalf("ParseBackend(\"race\") = %v, %v; want cascade", got, err)
 	}
 	// A removed or unknown name is rejected with the valid ones listed.
-	for _, name := range []string{"tabu", "z3"} {
+	for _, name := range []string{"tabu", "anneal", "z3"} {
 		_, err := ParseBackend(name)
-		if !errors.Is(err, ErrInvalidProblem) || !strings.Contains(err.Error(), "smt-incremental|cascade") {
+		if !errors.Is(err, ErrInvalidProblem) || !strings.Contains(err.Error(), "auto|placer|greedy|smt|smt-incremental|cascade") {
 			t.Fatalf("ParseBackend(%q) err = %v, want ErrInvalidProblem listing the valid names", name, err)
 		}
 	}
@@ -70,7 +70,7 @@ func TestAllBackendsVerifyFig4(t *testing.T) {
 // strict formulation cannot express the epoch wrap the late possibilities
 // need, so they correctly report the strict problem unsatisfiable.
 func TestHeuristicBackendsVerifyFig6(t *testing.T) {
-	for _, b := range []Backend{BackendPlacer, BackendGreedy, BackendAnneal} {
+	for _, b := range []Backend{BackendPlacer, BackendGreedy} {
 		t.Run(b.String(), func(t *testing.T) {
 			n := fig2Network(t)
 			p := fig6Problem(t, n)
@@ -322,7 +322,7 @@ func TestCascadeStopsAtFirstSuccess(t *testing.T) {
 func TestScheduleContextCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, b := range []Backend{BackendAnneal, BackendGreedy, BackendSMTIncremental, BackendCascade} {
+	for _, b := range []Backend{BackendGreedy, BackendSMTIncremental, BackendCascade} {
 		_, p := randomProblem(t, 3)
 		p.Opts.Backend = b
 		_, err := ScheduleContext(ctx, p)
@@ -364,7 +364,7 @@ func TestGreedyPlacesLate(t *testing.T) {
 }
 
 func BenchmarkBackends(b *testing.B) {
-	for _, backend := range []Backend{BackendPlacer, BackendGreedy, BackendAnneal, BackendCascade} {
+	for _, backend := range []Backend{BackendPlacer, BackendGreedy, BackendCascade} {
 		b.Run(backend.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				_, p := randomProblem(b, 5)

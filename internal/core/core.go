@@ -58,9 +58,6 @@ const (
 	// committed in reverse path order against their deadlines, leaving the
 	// front of each period free for later streams.
 	BackendGreedy
-	// BackendAnneal searches over rigid per-stream phase shifts by
-	// simulated annealing with a fixed seed (deterministic).
-	BackendAnneal
 	// BackendCascade runs the backends in Options.Cascade one at a time, in
 	// order, and stops at the first verified-feasible plan.
 	BackendCascade
@@ -79,8 +76,6 @@ func (b Backend) String() string {
 		return "smt-incremental"
 	case BackendGreedy:
 		return "greedy"
-	case BackendAnneal:
-		return "anneal"
 	case BackendCascade:
 		return "cascade"
 	default:
@@ -103,14 +98,12 @@ func ParseBackend(name string) (Backend, error) {
 		return BackendSMTIncremental, nil
 	case "greedy":
 		return BackendGreedy, nil
-	case "anneal":
-		return BackendAnneal, nil
 	// "race" is what the cascade was called while it ran its backends
 	// concurrently; journals and configurations on disk carry it.
 	case "cascade", "race":
 		return BackendCascade, nil
 	default:
-		return 0, fmt.Errorf("%w: unknown backend %q (want auto|placer|greedy|anneal|smt|smt-incremental|cascade)",
+		return 0, fmt.Errorf("%w: unknown backend %q (want auto|placer|greedy|smt|smt-incremental|cascade)",
 			ErrInvalidProblem, name)
 	}
 }
@@ -122,8 +115,7 @@ type Capabilities struct {
 	// backends only ever give up; their failures carry no proof.
 	Exact bool
 	// Deterministic backends produce byte-identical schedules for the same
-	// problem across runs (the SMT backends at Portfolio <= 1; the anneal
-	// backend runs from a fixed seed).
+	// problem across runs; every backend is.
 	Deterministic bool
 	// Anytime backends honor context cancellation promptly mid-search.
 	Anytime bool
@@ -134,8 +126,6 @@ func (b Backend) Capabilities() Capabilities {
 	switch b {
 	case BackendSMT, BackendSMTIncremental:
 		return Capabilities{Exact: true, Deterministic: true, Anytime: true}
-	case BackendAnneal:
-		return Capabilities{Deterministic: true, Anytime: true}
 	default:
 		// The placers run to completion in bounded time instead of
 		// polling the context.
@@ -162,8 +152,8 @@ type Options struct {
 	// MaxDecisions bounds SMT search effort; zero means unlimited.
 	MaxDecisions int64
 	// Timeout bounds the solve's wall-clock time — for every backend, not
-	// just SMT: ScheduleContext derives a deadline context the heuristic
-	// searches and the cascade observe. Zero means unlimited.
+	// just SMT: ScheduleContext derives a deadline context the greedy
+	// placer and the cascade observe. Zero means unlimited.
 	Timeout time.Duration
 	// DisablePrudentReservation turns Alg. 1 off (for ablation only; the
 	// verifier will typically report TCT deadline risks without it).
@@ -189,29 +179,11 @@ type Options struct {
 	// run. Empty means DefaultCascade. Entries must be concrete backends
 	// (not BackendAuto or BackendCascade).
 	Cascade []Backend
-	// Portfolio is the number of diversified SMT solver replicas raced on
-	// the monolithic (non-incremental) solve: the first definitive answer
-	// wins and cancels the rest. Values <= 1 keep the single deterministic
-	// search; the incremental backend ignores it (its per-stream re-solves
-	// hold warm state a portfolio would discard). Which replica's model
-	// wins is run-dependent, so deterministic pipelines (the experiments)
-	// leave this at 1.
-	Portfolio int
 	// ExpandCache, when non-nil, memoizes ECT probabilistic-stream
 	// expansion across schedules. Methods sharing a scenario (E-TSN,
 	// PERIOD, AVB over the same streams) re-expand identical ECTs; the
 	// cache hands each of them an independent deep copy of the template.
 	ExpandCache *ExpandCache
-	// Decompose splits the problem into the connected components of the
-	// stream conflict graph (streams conflict iff their routed paths share
-	// a directed link; prudent-reservation extras and shared-reserve drain
-	// streams are link-local, so link sharing covers those couplings too)
-	// and solves each component independently — concurrently, each through
-	// the selected backend — before merging the per-component plans and
-	// re-checking the merged result with the independent verifier. A
-	// single-component problem falls through to the monolithic path, so
-	// its output is byte-identical with or without this flag.
-	Decompose bool
 	// SharedReserves lets the extra slots that prudent reservation adds
 	// for different sharing TCT streams overlap each other on the same
 	// link. Alg. 1 as written reserves per (stream, link), which
@@ -313,29 +285,17 @@ func Schedule(p *Problem) (*Result, error) {
 }
 
 // ScheduleContext solves the problem under a context: cancellation stops
-// the SMT backends and the heuristic searches (the two placers run to
-// completion in bounded time instead of polling).
+// the SMT backends (the two placers run to completion in bounded time
+// instead of polling).
 func ScheduleContext(ctx context.Context, p *Problem) (*Result, error) {
 	opts := p.Opts.withDefaults()
 	// Timeout bounds this call for every backend uniformly: the SMT
-	// deadline still applies inside the solver, and the heuristics and the
-	// cascade observe the context.
+	// deadline still applies inside the solver, and the greedy placer and
+	// the cascade observe the context.
 	if opts.Timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, opts.Timeout)
 		defer cancel()
-	}
-	if opts.Decompose {
-		res, handled, err := scheduleDecomposed(ctx, p, opts)
-		if handled {
-			if err != nil {
-				return nil, err
-			}
-			opts.Obs.Counter("etsn_core_solves_total{backend=\"" + res.BackendUsed.String() + "\"}").Inc()
-			return res, nil
-		}
-		// Single component (or nothing to split): the monolithic path below
-		// is the decomposition of one component, byte for byte.
 	}
 	inst, err := buildInstance(p, opts)
 	if err != nil {
@@ -386,8 +346,6 @@ func solveBackend(ctx context.Context, inst *instance, b Backend) (*Result, erro
 		res, err = solvePlacer(inst)
 	case BackendGreedy:
 		res, err = solveGreedy(ctx, inst)
-	case BackendAnneal:
-		res, err = solveAnneal(ctx, inst)
 	case BackendSMT:
 		res, err = solveSMT(ctx, inst, false)
 	case BackendSMTIncremental:

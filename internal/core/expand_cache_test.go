@@ -3,7 +3,6 @@ package core
 import (
 	"sync"
 	"testing"
-	"time"
 
 	"etsn/internal/model"
 )
@@ -151,39 +150,5 @@ func TestScheduleWithExpandCacheEquivalent(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestSchedulePortfolioBackend(t *testing.T) {
-	n := fig2Network(t)
-	p := fig4Problem(t, n)
-	p.Opts.Backend = BackendSMT
-	p.Opts.Portfolio = 3
-	res, err := Schedule(p)
-	if err != nil {
-		t.Fatalf("Schedule: %v", err)
-	}
-	verifyClean(t, n, res)
-	if res.BackendUsed != BackendSMT {
-		t.Fatalf("BackendUsed = %v", res.BackendUsed)
-	}
-	// The portfolio folds replica effort into the aggregate counters: at
-	// least the replicas' Solve calls must be visible.
-	if res.SolverStats.Solves < 2 {
-		t.Fatalf("SolverStats.Solves = %d, want >= 2 with a 3-replica portfolio", res.SolverStats.Solves)
-	}
-}
-
-func TestSchedulePortfolioInfeasible(t *testing.T) {
-	n := fig2Network(t)
-	p := fig4Problem(t, n)
-	// Shrink every deadline below one frame's transmission time.
-	for _, s := range p.TCT {
-		s.E2E = time.Microsecond
-	}
-	p.Opts.Backend = BackendSMT
-	p.Opts.Portfolio = 3
-	if _, err := Schedule(p); err == nil {
-		t.Fatal("Schedule succeeded on an infeasible problem")
 	}
 }

@@ -111,7 +111,7 @@ func (t *slotTable) findSlotLatest(link int, s *model.Stream, reserve bool, lb, 
 // start the stream's *own* constraints allow (occurrence time, same-link
 // sequencing, adjacent-link arrival), ignoring other streams. These are
 // hard lower bounds on any schedule, used by the ALAP placer as scan
-// floors and by the phase-shift heuristics as the rigid chain layout.
+// floors.
 func chainMins(inst *instance, s *model.Stream) map[frameKey]int64 {
 	mins := make(map[frameKey]int64)
 	for li, lid := range s.Path {

@@ -161,8 +161,7 @@ func pathContains(path []model.LinkID, id model.LinkID) bool {
 // In incremental mode streams are added one at a time and the system is
 // re-solved after each addition (Steiner-style synthesis), which localizes
 // conflicts and keeps the solver's potentials warm. Cancelling ctx stops
-// the search (monolithic solves through the portfolio stop flag,
-// incremental solves between and inside re-solves).
+// the search (incremental solves between and inside re-solves).
 func solveSMT(ctx context.Context, inst *instance, incremental bool) (*Result, error) {
 	b := newSMTBuilder(inst)
 	// Publish whatever effort was spent — once, at whichever exit — so
@@ -181,15 +180,7 @@ func solveSMT(ctx context.Context, inst *instance, incremental bool) (*Result, e
 			}
 		}
 		spEmit.End()
-		// The monolithic solve holds no incremental state, so it can race
-		// diversified replicas; the first definitive answer wins and the
-		// replicas' effort lands in TotalStats. At k <= 1 SolvePortfolio
-		// degenerates to a single context-cancellable Solve.
-		k := inst.opts.Portfolio
-		if k < 1 {
-			k = 1
-		}
-		m, err = b.solver.SolvePortfolio(ctx, k)
+		m, err = b.solver.SolveContext(ctx)
 		if err != nil {
 			err = wrapSolveErr(err, "")
 		}
@@ -230,8 +221,8 @@ func solveSMT(ctx context.Context, inst *instance, incremental bool) (*Result, e
 }
 
 // solveIncremental adds streams one at a time, re-solving after each.
-// Each re-solve runs under ctx (SolvePortfolio at k=1 is a single
-// context-cancellable Solve), so an expired cascade stage stops mid-sequence.
+// Each re-solve runs under ctx, so an expired cascade stage stops
+// mid-sequence.
 func solveIncremental(ctx context.Context, b *smtBuilder, inst *instance) (*smt.Model, error) {
 	var m *smt.Model
 	for i, s := range inst.streams {
@@ -243,14 +234,14 @@ func solveIncremental(ctx context.Context, b *smtBuilder, inst *instance) (*smt.
 			b.addOverlapConstraints(inst.streams[j], s)
 		}
 		var err error
-		m, err = b.solver.SolvePortfolio(ctx, 1)
+		m, err = b.solver.SolveContext(ctx)
 		if err != nil {
 			return nil, wrapSolveErr(err, s.ID)
 		}
 	}
 	if m == nil { // no streams
 		var err error
-		m, err = b.solver.SolvePortfolio(ctx, 1)
+		m, err = b.solver.SolveContext(ctx)
 		if err != nil {
 			return nil, wrapSolveErr(err, "")
 		}

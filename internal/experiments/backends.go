@@ -10,8 +10,8 @@ import (
 
 // BackendsTimeout bounds each standalone backend solve (and each cascade) in
 // the backends experiment. The exact solvers can burn unbounded time on the
-// full-size testbed instances; the heuristics give up when the budget runs
-// out. Two seconds is far above any backend's feasible solve time on the
+// full-size testbed instances; the greedy placer gives up when the budget
+// runs out. Two seconds is far above any backend's feasible solve time on the
 // fig11 grid, so a timeout here genuinely means "did not finish".
 const BackendsTimeout = 2 * time.Second
 

@@ -19,7 +19,6 @@ func TestValidateBackendsGates(t *testing.T) {
 				Points: []BenchBackendPoint{
 					{Load: 0.75, Backend: "placer", WallUs: 1_000, Feasible: true, Verified: true},
 					{Load: 0.75, Backend: "greedy", WallUs: 400, Feasible: true, Verified: true},
-					{Load: 0.75, Backend: "anneal", WallUs: 300_000, Feasible: true, Verified: true},
 					{Load: 0.75, Backend: "smt-incremental", WallUs: 280_000, Err: "infeasible"},
 				},
 				Cascades: []BenchBackendCascade{

@@ -64,35 +64,6 @@ type BenchSMTClass struct {
 	Reference BenchSMTRun `json:"reference"`
 }
 
-// BenchPsimPoint is one shard count of the parallel-engine sweep.
-type BenchPsimPoint struct {
-	Shards       int   `json:"shards"`
-	WallMs       int64 `json:"wall_ms"`
-	Events       int64 `json:"events"`
-	EventsPerSec int64 `json:"events_per_sec"`
-	Handoffs     int64 `json:"handoffs"`
-	Windows      int64 `json:"windows"`
-	// Identical records whether the canonical results matched the
-	// sequential oracle byte-for-byte — the sweep's correctness gate.
-	Identical bool `json:"identical"`
-}
-
-// BenchPsim is the parallel-engine section of a bench artifact: the
-// sequential deterministic baseline and one point per shard count.
-type BenchPsim struct {
-	// Cpus is the machine's CPU count at run time; the speedup gate only
-	// applies when the machine can actually run shards concurrently.
-	Cpus        int   `json:"cpus"`
-	CutLinks    int64 `json:"cut_links"`
-	LookaheadNs int64 `json:"lookahead_ns"`
-	// SeqWallMs/SeqEvents/SeqEventsPerSec describe the sequential
-	// deterministic oracle run.
-	SeqWallMs       int64            `json:"seq_wall_ms"`
-	SeqEvents       int64            `json:"seq_events"`
-	SeqEventsPerSec int64            `json:"seq_events_per_sec"`
-	Points          []BenchPsimPoint `json:"points"`
-}
-
 // BenchBackendPoint is one (load, backend) standalone solve measurement of
 // the cross-backend benchmark.
 type BenchBackendPoint struct {
@@ -128,47 +99,27 @@ type BenchBackends struct {
 	Cascades  []BenchBackendCascade `json:"cascades"`
 }
 
-// BenchScalePoint is one (family, cells) grid point of the decomposition
-// corpus sweep: the identical instance solved monolithically and with
-// Options.Decompose, both through the placer+greedy cascade.
+// BenchScalePoint is one (family, cells) grid point of the cellular corpus
+// sweep, solved through the placer+greedy cascade.
 type BenchScalePoint struct {
 	Family  string `json:"family"`
 	Cells   int    `json:"cells"`
 	Streams int    `json:"streams"`
-	// Components is the conflict-graph component count of the instance.
-	Components   int   `json:"components"`
-	MonoWallUs   int64 `json:"mono_wall_us"`
-	DecompWallUs int64 `json:"decomp_wall_us"`
-	// Verified records whether the merged decomposed plan passed the
-	// independent verifier with zero violations.
+	// WallUs is the median solve wall.
+	WallUs int64 `json:"wall_us"`
+	// Verified records whether the plan passed the independent verifier
+	// with zero violations.
 	Verified bool `json:"verified"`
-	// PlansIdentical records whether the monolithic and decomposed plans
-	// carry the same canonical fingerprint. The cascade's deterministic
-	// winner (the link-local placer) makes this hold at every point, so a
-	// false here is a decomposition soundness regression.
-	PlansIdentical bool `json:"plans_identical"`
 }
 
-// BenchScaleSingle is the single-component control: an instance whose
-// conflict graph has exactly one component must produce a byte-identical
-// plan with and without Decompose (the flag falls through).
-type BenchScaleSingle struct {
-	Streams    int  `json:"streams"`
-	Components int  `json:"components"`
-	Identical  bool `json:"identical"`
-}
-
-// BenchScale is the decomposition-sweep section of the scale artifact
-// (BENCH_scale.json): solver-only walls per grid point plus the
-// single-component identity control.
+// BenchScale is the corpus-sweep section of the scale artifact
+// (BENCH_scale.json): solver-only walls per grid point.
 type BenchScale struct {
 	// Cpus is the machine's CPU count at run time. The scaling gate
-	// compares two monolithic walls of the same run, so it applies on any
-	// CPU count.
-	Cpus            int               `json:"cpus"`
-	StreamsPerCell  int               `json:"streams_per_cell"`
-	Points          []BenchScalePoint `json:"points"`
-	SingleComponent BenchScaleSingle  `json:"single_component"`
+	// compares two walls of the same run, so it applies on any CPU count.
+	Cpus           int               `json:"cpus"`
+	StreamsPerCell int               `json:"streams_per_cell"`
+	Points         []BenchScalePoint `json:"points"`
 }
 
 // benchScaleMinStreams is the corpus-size floor: the sweep must reach at
@@ -176,7 +127,7 @@ type BenchScale struct {
 // to count as a scale result.
 const benchScaleMinStreams = 2000
 
-// benchScaleMaxDoubling bounds how much the monolithic solve wall may grow
+// benchScaleMaxDoubling bounds how much the solve wall may grow
 // when the corpus doubles (streams and links together). Linear placement
 // doubles it; the retired per-stream snapshot of every link tripled it
 // (3.0x in the last artifact committed with it). The headroom above 2x
@@ -231,17 +182,12 @@ type BenchArtifact struct {
 	// CDCL-versus-reference effort and wall-time comparisons. Runs with a
 	// non-empty SMT section are solver-only and carry no simulator traffic.
 	SMT []BenchSMTClass `json:"smt_classes,omitempty"`
-	// Psim is present on the parallel-engine sweep artifact
-	// (BENCH_psim.json): the sequential oracle baseline and one point per
-	// shard count, each gated on byte-identical results.
-	Psim *BenchPsim `json:"psim,omitempty"`
 	// Backends is present on the cross-backend benchmark artifact
 	// (BENCH_backends.json). Like SMT, such artifacts are solver-only.
 	Backends *BenchBackends `json:"backends,omitempty"`
 	// Scale is present on the scale artifact (BENCH_scale.json): the
-	// decomposed-vs-monolithic corpus sweep, gated on the decomposed wall
-	// beating the monolithic wall at the largest grid point of every
-	// family and on plan identity throughout.
+	// cellular corpus sweep, gated on every plan verifying and on the
+	// solve wall scaling linearly in the corpus.
 	Scale *BenchScale `json:"scale,omitempty"`
 }
 
@@ -389,33 +335,21 @@ func (a *BenchArtifact) Validate() error {
 		return fmt.Errorf("bench artifact %s: wall_sequential_ms = %d",
 			a.Experiment, a.WallSequentialMs)
 	}
-	if err := a.validatePsim(); err != nil {
-		return err
-	}
 	if err := a.validateScale(); err != nil {
 		return err
 	}
 	return a.validateAttrib()
 }
 
-// validateScale gates the decomposition corpus sweep section. The
-// invariants CI relies on:
+// validateScale gates the corpus sweep section. The invariants CI relies
+// on:
 //
-//   - soundness: every decomposed plan passed the independent verifier,
-//     and every grid point's plan is fingerprint-identical to the
-//     monolithic solve's (the cascade winner is the deterministic
-//     link-local placer on both sides);
-//   - corpus shape: every grid point actually decomposes (two or more
-//     components) and the sweep reaches at least benchScaleMinStreams
+//   - soundness: every plan passed the independent verifier;
+//   - corpus shape: the sweep reaches at least benchScaleMinStreams
 //     streams;
-//   - the perf claim: monolithic placement scales linearly in the corpus —
-//     in every family the wall at the largest grid point is at most
+//   - the perf claim: placement scales linearly in the corpus — in every
+//     family the wall at the largest grid point is at most
 //     benchScaleMaxDoubling times the wall at the point half its size.
-//     (Decomposition itself carries no wall claim: on this cell-local
-//     corpus it has measured slower than the monolithic solve at every
-//     point since the placer's bookkeeping became per-stream.)
-//   - the structural control: a single-component instance reports exactly
-//     one component and a byte-identical plan with and without Decompose.
 func (a *BenchArtifact) validateScale() error {
 	s := a.Scale
 	if s == nil {
@@ -433,7 +367,7 @@ func (a *BenchArtifact) validateScale() error {
 		family  string
 		streams int
 	}
-	monoWall := map[sizeKey]int64{}
+	wall := map[sizeKey]int64{}
 	maxStreams := 0
 	for _, pt := range s.Points {
 		switch {
@@ -442,17 +376,11 @@ func (a *BenchArtifact) validateScale() error {
 		case pt.Cells <= 0 || pt.Streams <= 0:
 			return fmt.Errorf("bench artifact %s: scale %s point has cells=%d streams=%d",
 				a.Experiment, pt.Family, pt.Cells, pt.Streams)
-		case pt.Components < 2:
-			return fmt.Errorf("bench artifact %s: scale %s/%d has %d conflict components, the corpus must decompose",
-				a.Experiment, pt.Family, pt.Cells, pt.Components)
-		case pt.MonoWallUs <= 0 || pt.DecompWallUs <= 0:
-			return fmt.Errorf("bench artifact %s: scale %s/%d has non-positive walls (mono %dus, decomposed %dus)",
-				a.Experiment, pt.Family, pt.Cells, pt.MonoWallUs, pt.DecompWallUs)
+		case pt.WallUs <= 0:
+			return fmt.Errorf("bench artifact %s: scale %s/%d has a non-positive wall (%dus)",
+				a.Experiment, pt.Family, pt.Cells, pt.WallUs)
 		case !pt.Verified:
-			return fmt.Errorf("bench artifact %s: scale %s/%d merged plan failed verification",
-				a.Experiment, pt.Family, pt.Cells)
-		case !pt.PlansIdentical:
-			return fmt.Errorf("bench artifact %s: scale %s/%d decomposed plan diverged from the monolithic plan",
+			return fmt.Errorf("bench artifact %s: scale %s/%d plan failed verification",
 				a.Experiment, pt.Family, pt.Cells)
 		}
 		if pt.Streams > maxStreams {
@@ -461,82 +389,22 @@ func (a *BenchArtifact) validateScale() error {
 		if best, ok := largest[pt.Family]; !ok || pt.Streams > best.Streams {
 			largest[pt.Family] = pt
 		}
-		monoWall[sizeKey{pt.Family, pt.Streams}] = pt.MonoWallUs
+		wall[sizeKey{pt.Family, pt.Streams}] = pt.WallUs
 	}
 	if maxStreams < benchScaleMinStreams {
 		return fmt.Errorf("bench artifact %s: scale sweep tops out at %d streams, need >= %d",
 			a.Experiment, maxStreams, benchScaleMinStreams)
 	}
 	for family, pt := range largest {
-		half, ok := monoWall[sizeKey{family, pt.Streams / 2}]
+		half, ok := wall[sizeKey{family, pt.Streams / 2}]
 		if !ok || pt.Streams%2 != 0 {
 			return fmt.Errorf("bench artifact %s: scale %s sweep has no point at half its largest (%d streams)",
 				a.Experiment, family, pt.Streams)
 		}
-		if float64(pt.MonoWallUs) > benchScaleMaxDoubling*float64(half) {
-			return fmt.Errorf("bench artifact %s: scale %s/%d: monolithic wall %dus is %.2fx the %dus at half the streams, want <= %.1fx (superlinear placement)",
-				a.Experiment, family, pt.Cells, pt.MonoWallUs, float64(pt.MonoWallUs)/float64(half), half, benchScaleMaxDoubling)
+		if float64(pt.WallUs) > benchScaleMaxDoubling*float64(half) {
+			return fmt.Errorf("bench artifact %s: scale %s/%d: wall %dus is %.2fx the %dus at half the streams, want <= %.1fx (superlinear placement)",
+				a.Experiment, family, pt.Cells, pt.WallUs, float64(pt.WallUs)/float64(half), half, benchScaleMaxDoubling)
 		}
-	}
-	sc := s.SingleComponent
-	switch {
-	case sc.Streams <= 0:
-		return fmt.Errorf("bench artifact %s: scale single-component control has %d streams",
-			a.Experiment, sc.Streams)
-	case sc.Components != 1:
-		return fmt.Errorf("bench artifact %s: scale single-component control reports %d components, want 1",
-			a.Experiment, sc.Components)
-	case !sc.Identical:
-		return fmt.Errorf("bench artifact %s: scale single-component plans differ with and without decompose",
-			a.Experiment)
-	}
-	return nil
-}
-
-// validatePsim gates the parallel-engine sweep section: every point must
-// have reproduced the sequential oracle byte-for-byte with the same event
-// count, multi-shard partitions must report their cut and a positive
-// lookahead, and — on machines with enough CPUs to matter — four or more
-// shards must beat the sequential baseline's throughput by over 2x.
-func (a *BenchArtifact) validatePsim() error {
-	p := a.Psim
-	if p == nil {
-		return nil
-	}
-	if len(p.Points) == 0 {
-		return fmt.Errorf("bench artifact %s: empty psim sweep", a.Experiment)
-	}
-	if p.SeqEvents <= 0 || p.SeqEventsPerSec <= 0 {
-		return fmt.Errorf("bench artifact %s: psim sequential baseline shows no activity",
-			a.Experiment)
-	}
-	multi := false
-	for _, pt := range p.Points {
-		if !pt.Identical {
-			return fmt.Errorf("bench artifact %s: psim shards=%d diverged from the sequential oracle",
-				a.Experiment, pt.Shards)
-		}
-		if pt.Events != p.SeqEvents {
-			return fmt.Errorf("bench artifact %s: psim shards=%d processed %d events, oracle %d",
-				a.Experiment, pt.Shards, pt.Events, p.SeqEvents)
-		}
-		if pt.Shards >= 2 {
-			multi = true
-		}
-		// The speedup gate needs real parallel hardware: on narrow machines
-		// the barrier overhead dominates and only correctness is gated.
-		if pt.Shards >= 4 && p.Cpus >= 4 && pt.EventsPerSec <= 2*p.SeqEventsPerSec {
-			return fmt.Errorf("bench artifact %s: psim shards=%d reached %d events/sec, need >2x sequential %d",
-				a.Experiment, pt.Shards, pt.EventsPerSec, p.SeqEventsPerSec)
-		}
-	}
-	if multi && p.CutLinks <= 0 {
-		return fmt.Errorf("bench artifact %s: psim multi-shard sweep reports no cut links",
-			a.Experiment)
-	}
-	if p.CutLinks > 0 && p.LookaheadNs <= 0 {
-		return fmt.Errorf("bench artifact %s: psim has %d cut links but lookahead %dns",
-			a.Experiment, p.CutLinks, p.LookaheadNs)
 	}
 	return nil
 }

@@ -35,21 +35,10 @@ type RunOptions struct {
 	// Bound conformance is scored regardless; attribution additionally
 	// explains each miss by its dominant phase.
 	Attribution bool
-	// Engine selects the simulation engine for every run the experiment
-	// performs: sched.EngineSeq (default) or sched.EngineShard, the
-	// conservative-parallel sharded engine. The sharded engine produces
-	// byte-identical results (see internal/psim).
-	Engine string
-	// Shards is the shard count for sched.EngineShard (0 = GOMAXPROCS).
-	Shards int
 	// Backend selects the scheduling backend for every plan the experiment
 	// builds (passes through to core.Options.Backend; zero keeps core's
 	// auto default).
 	Backend core.Backend
-	// Decompose splits every E-TSN solve into conflict-graph components
-	// solved independently and merged (passes through to
-	// core.Options.Decompose via sched.Problem).
-	Decompose bool
 	// BackendCompare additionally runs every scheduling backend standalone
 	// on the experiment's scenario grid and attaches a per-backend
 	// comparison (schedulable ratio and solve wall) to results that
@@ -98,7 +87,6 @@ func RunMethod(s *Scenario, m sched.Method, opts RunOptions) (*MethodResult, err
 	prob.Obs = opts.Obs
 	prob.Phases = opts.Phases
 	prob.Backend = opts.Backend
-	prob.Decompose = opts.Decompose
 	plan, err := sched.Build(m, prob, opts.Multiplier)
 	if err != nil {
 		return nil, fmt.Errorf("build %v: %w", m, err)
@@ -106,7 +94,7 @@ func RunMethod(s *Scenario, m sched.Method, opts RunOptions) (*MethodResult, err
 	spSim := opts.Phases.Begin("simulate", "method", m.String())
 	raw, err := plan.SimulateOpts(s.Network, sched.SimOptions{
 		ECT: s.ECT, BE: s.BE, Duration: opts.Duration, Seed: opts.Seed, Obs: opts.Obs,
-		Attribution: opts.Attribution, Engine: opts.Engine, Shards: opts.Shards,
+		Attribution: opts.Attribution,
 	})
 	spSim.End()
 	if err != nil {

@@ -74,8 +74,7 @@ const (
 	scaleTCT    = 80
 )
 
-// buildScaleScenario constructs the scalability scenario — shared by the
-// Scale experiment and the parallel-engine sweep (PsimSweep).
+// buildScaleScenario constructs the scalability scenario.
 func buildScaleScenario(seed int64) (*Scenario, error) {
 	n, err := TreeNetwork(scaleSpine, scaleLeaves)
 	if err != nil {
@@ -125,7 +124,7 @@ func Scale(opts RunOptions) (*ScaleResult, error) {
 
 	raw, err := plan.SimulateOpts(n, sched.SimOptions{
 		ECT: scen.ECT, BE: scen.BE, Duration: opts.Duration, Seed: opts.Seed,
-		Obs: opts.Obs, Engine: opts.Engine, Shards: opts.Shards,
+		Obs: opts.Obs,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("scale simulation: %w", err)

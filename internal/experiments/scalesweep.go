@@ -13,21 +13,13 @@ import (
 	"etsn/internal/traffic"
 )
 
-// The decomposition corpus: a family of cellular topologies whose traffic
-// is cell-local, so the stream conflict graph falls apart into one
-// connected component per cell. Each grid point solves the identical
-// instance twice — monolithically and with Options.Decompose — through the
-// same two-backend cascade (placer, then greedy), and records both walls,
-// the verifier's verdict on the merged plan, and whether the two plans are
-// identical. The cascade is fixed to the two placers on purpose: both are
-// link-local and run to completion in time linear in the corpus, and the
-// first-fit placer — the head of the order and deterministic — closes
-// every cell on both sides, which is what makes the plan-identity gate
-// meaningful at every grid point. On this corpus the
-// decomposed solve is the slower of the two (per-component instances, a
-// goroutine each, the merge and its re-verification buy nothing when
-// placement is already linear); the sweep's wall gate is on the monolithic
-// solve's scaling instead.
+// The scaling corpus: a family of cellular topologies whose traffic is
+// cell-local, so streams, links and slots all grow in proportion to the
+// cell count. Each grid point is solved through a two-backend cascade
+// (placer, then greedy) and records the solve wall and the verifier's
+// verdict on the plan. The cascade is fixed to the two placers on purpose:
+// both are link-local and run to completion in time linear in the corpus,
+// which is the claim the sweep's wall gate checks.
 const (
 	// corpusLeaves is the device count per cell.
 	corpusLeaves = 6
@@ -163,9 +155,8 @@ func corpusCellWorkload(c int, seed int64) ([]*model.Stream, *model.ECT, error) 
 
 // corpusProblem assembles the complete scheduling instance of one grid
 // point. Every call builds a fresh problem (fresh network, freshly
-// generated streams) so the monolithic and decomposed solves cannot share
-// mutable state; generation is seed-deterministic, so the two instances
-// are equal.
+// generated streams); generation is seed-deterministic, so two calls
+// return equal instances.
 func corpusProblem(family string, cells int, seed int64) (*core.Problem, error) {
 	n, err := corpusNetwork(family, cells)
 	if err != nil {
@@ -231,15 +222,14 @@ func PlanFingerprint(res *core.Result) string {
 // reported because the walls have a fat fast tail as well as a slow one.
 const corpusSolveReps = 9
 
-// corpusSolve schedules one freshly built instance of the grid point with
-// the given decomposition setting corpusSolveReps times back to back and
-// returns the result, its fingerprint, and the median solve wall.
-func corpusSolve(family string, cells int, seed int64, decompose bool) (*core.Result, string, time.Duration, error) {
+// corpusSolve schedules one freshly built instance of the grid point
+// corpusSolveReps times back to back and returns the problem, the result,
+// and the median solve wall.
+func corpusSolve(family string, cells int, seed int64) (*core.Problem, *core.Result, time.Duration, error) {
 	p, err := corpusProblem(family, cells, seed)
 	if err != nil {
-		return nil, "", 0, err
+		return nil, nil, 0, err
 	}
-	p.Opts.Decompose = decompose
 	var res *core.Result
 	walls := make([]time.Duration, corpusSolveReps)
 	for rep := range walls {
@@ -247,87 +237,17 @@ func corpusSolve(family string, cells int, seed int64, decompose bool) (*core.Re
 		res, err = core.Schedule(p)
 		walls[rep] = time.Since(start)
 		if err != nil {
-			return nil, "", walls[rep], err
+			return nil, nil, walls[rep], err
 		}
 	}
 	sort.Slice(walls, func(i, j int) bool { return walls[i] < walls[j] })
-	return res, PlanFingerprint(res), walls[corpusSolveReps/2], nil
+	return p, res, walls[corpusSolveReps/2], nil
 }
 
-// singleComponentCheck builds an instance whose streams all share one
-// path — a single conflict-graph component — and asserts the structural
-// identity claim: with exactly one component, Decompose falls through to
-// the monolithic path, so the plans must be byte-identical.
-func singleComponentCheck() (BenchScaleSingle, error) {
-	build := func() (*core.Problem, error) {
-		n := model.NewNetwork()
-		cfg := model.LinkConfig{Bandwidth: LinkRate, PropDelay: 100 * time.Nanosecond}
-		if err := n.AddSwitch("SW"); err != nil {
-			return nil, err
-		}
-		for _, d := range []model.NodeID{"D1", "D2"} {
-			if err := n.AddDevice(d); err != nil {
-				return nil, err
-			}
-			if err := n.AddLink(d, "SW", cfg); err != nil {
-				return nil, err
-			}
-		}
-		if err := n.Validate(); err != nil {
-			return nil, err
-		}
-		path, err := n.ShortestPath("D1", "D2")
-		if err != nil {
-			return nil, err
-		}
-		p := &core.Problem{Network: n}
-		for i := 0; i < 48; i++ {
-			p.TCT = append(p.TCT, &model.Stream{
-				ID:          model.StreamID(fmt.Sprintf("s%02d", i)),
-				Path:        append([]model.LinkID(nil), path...),
-				Period:      20 * time.Millisecond,
-				E2E:         20 * time.Millisecond,
-				LengthBytes: 300,
-				Type:        model.StreamDet,
-				Share:       true,
-			})
-		}
-		p.Opts = core.Options{
-			NProb:   corpusNProb,
-			Backend: core.BackendCascade,
-			Cascade: []core.Backend{core.BackendPlacer, core.BackendGreedy},
-		}
-		return p, nil
-	}
-	probe, err := build()
-	if err != nil {
-		return BenchScaleSingle{}, err
-	}
-	single := BenchScaleSingle{
-		Streams:    len(probe.TCT),
-		Components: core.ConflictComponentCount(probe),
-	}
-	var fps [2]string
-	for i, decompose := range []bool{false, true} {
-		p, err := build()
-		if err != nil {
-			return single, err
-		}
-		p.Opts.Decompose = decompose
-		res, err := core.Schedule(p)
-		if err != nil {
-			return single, fmt.Errorf("single-component solve (decompose=%v): %w", decompose, err)
-		}
-		fps[i] = PlanFingerprint(res)
-	}
-	single.Identical = fps[0] == fps[1]
-	return single, nil
-}
-
-// ScaleSweep runs the decomposed-vs-monolithic corpus sweep and returns
-// the BenchScale section for the scale artifact. Both walls are solver
-// walls (no simulation): the point of the sweep is the scheduling-time
-// claim, gated by BenchArtifact.Validate via -check-bench.
+// ScaleSweep runs the corpus sweep and returns the BenchScale section for
+// the scale artifact. The walls are solver walls (no simulation): the point
+// of the sweep is the scheduling-time claim, gated by
+// BenchArtifact.Validate via -check-bench.
 func ScaleSweep(opts RunOptions) (*BenchScale, error) {
 	opts = opts.withDefaults()
 	out := &BenchScale{
@@ -336,55 +256,29 @@ func ScaleSweep(opts RunOptions) (*BenchScale, error) {
 	}
 	for _, family := range CorpusFamilies {
 		for _, cells := range corpusGrid {
-			monoRes, monoFP, monoWall, err := corpusSolve(family, cells, opts.Seed, false)
+			p, res, wall, err := corpusSolve(family, cells, opts.Seed)
 			if err != nil {
-				return nil, fmt.Errorf("corpus %s/%d monolithic: %w", family, cells, err)
+				return nil, fmt.Errorf("corpus %s/%d: %w", family, cells, err)
 			}
-			decompRes, decompFP, decompWall, err := corpusSolve(family, cells, opts.Seed, true)
-			if err != nil {
-				return nil, fmt.Errorf("corpus %s/%d decomposed: %w", family, cells, err)
-			}
-			// Components counted on a fresh instance; the solves above own
-			// their problems.
-			p, err := corpusProblem(family, cells, opts.Seed)
-			if err != nil {
-				return nil, err
-			}
-			vs := core.Verify(p.Network, decompRes)
 			out.Points = append(out.Points, BenchScalePoint{
-				Family:         family,
-				Cells:          cells,
-				Streams:        len(p.TCT),
-				Components:     core.ConflictComponentCount(p),
-				MonoWallUs:     monoWall.Microseconds(),
-				DecompWallUs:   decompWall.Microseconds(),
-				Verified:       len(vs) == 0,
-				PlansIdentical: monoFP == decompFP && len(monoRes.Expanded) == len(decompRes.Expanded),
+				Family:   family,
+				Cells:    cells,
+				Streams:  len(p.TCT),
+				WallUs:   wall.Microseconds(),
+				Verified: len(core.Verify(p.Network, res)) == 0,
 			})
 		}
 	}
-	single, err := singleComponentCheck()
-	if err != nil {
-		return nil, err
-	}
-	out.SingleComponent = single
 	return out, nil
 }
 
 // WriteTable renders the sweep report.
 func (s *BenchScale) WriteTable(w io.Writer) {
-	fmt.Fprintln(w, "Extension — decomposition corpus: conflict-graph components vs monolithic solve")
+	fmt.Fprintln(w, "Extension — scaling corpus: solve wall against corpus size")
 	fmt.Fprintf(w, "  %d streams per cell, placer+greedy cascade, %d CPU(s)\n", s.StreamsPerCell, s.Cpus)
-	fmt.Fprintf(w, "  %-6s %6s %8s %6s %12s %12s %8s %9s %10s\n",
-		"family", "cells", "streams", "comps", "mono", "decomposed", "speedup", "verified", "identical")
+	fmt.Fprintf(w, "  %-6s %6s %8s %12s %9s\n", "family", "cells", "streams", "wall", "verified")
 	for _, pt := range s.Points {
-		speedup := float64(pt.MonoWallUs) / float64(pt.DecompWallUs)
-		fmt.Fprintf(w, "  %-6s %6d %8d %6d %12s %12s %7.2fx %9v %10v\n",
-			pt.Family, pt.Cells, pt.Streams, pt.Components,
-			time.Duration(pt.MonoWallUs)*time.Microsecond,
-			time.Duration(pt.DecompWallUs)*time.Microsecond,
-			speedup, pt.Verified, pt.PlansIdentical)
+		fmt.Fprintf(w, "  %-6s %6d %8d %12s %9v\n",
+			pt.Family, pt.Cells, pt.Streams, time.Duration(pt.WallUs)*time.Microsecond, pt.Verified)
 	}
-	fmt.Fprintf(w, "  single-component control: %d streams, %d component(s), identical=%v\n",
-		s.SingleComponent.Streams, s.SingleComponent.Components, s.SingleComponent.Identical)
 }

@@ -7,9 +7,8 @@ import (
 	"etsn/internal/core"
 )
 
-// TestCorpusProblemShape checks the corpus builder: cell-local traffic,
-// unique stream IDs, and one conflict-graph component per cell in both
-// families.
+// TestCorpusProblemShape checks the corpus builder: cell-local traffic and
+// unique stream IDs in both families.
 func TestCorpusProblemShape(t *testing.T) {
 	for _, family := range CorpusFamilies {
 		p, err := corpusProblem(family, 3, DefaultSeed)
@@ -41,55 +40,20 @@ func TestCorpusProblemShape(t *testing.T) {
 				}
 			}
 		}
-		if got := core.ConflictComponentCount(p); got != 3 {
-			t.Fatalf("%s: %d conflict components, want 3 (one per cell)", family, got)
-		}
 	}
 }
 
-// TestCorpusSolveIdentity solves one small grid point both ways and checks
-// the invariants the sweep gate relies on: a verifier-clean merged plan
-// with the same fingerprint as the monolithic solve.
-func TestCorpusSolveIdentity(t *testing.T) {
+// TestCorpusSolveVerifies solves one small grid point and checks the
+// invariant the sweep gate relies on: a verifier-clean plan.
+func TestCorpusSolveVerifies(t *testing.T) {
 	for _, family := range CorpusFamilies {
-		monoRes, monoFP, _, err := corpusSolve(family, 3, DefaultSeed, false)
+		p, res, _, err := corpusSolve(family, 3, DefaultSeed)
 		if err != nil {
-			t.Fatalf("%s monolithic: %v", family, err)
+			t.Fatalf("%s: %v", family, err)
 		}
-		decompRes, decompFP, _, err := corpusSolve(family, 3, DefaultSeed, true)
-		if err != nil {
-			t.Fatalf("%s decomposed: %v", family, err)
+		if vs := core.Verify(p.Network, res); len(vs) > 0 {
+			t.Fatalf("%s: plan has %d violations, first: %s", family, len(vs), vs[0])
 		}
-		if monoFP != decompFP {
-			t.Fatalf("%s: fingerprints differ: mono %s, decomposed %s", family, monoFP, decompFP)
-		}
-		if len(monoRes.Expanded) != len(decompRes.Expanded) {
-			t.Fatalf("%s: expanded %d vs %d streams", family, len(monoRes.Expanded), len(decompRes.Expanded))
-		}
-		p, err := corpusProblem(family, 3, DefaultSeed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if vs := core.Verify(p.Network, decompRes); len(vs) > 0 {
-			t.Fatalf("%s: merged plan has %d violations, first: %s", family, len(vs), vs[0])
-		}
-	}
-}
-
-// TestSingleComponentCheck runs the sweep's structural control.
-func TestSingleComponentCheck(t *testing.T) {
-	single, err := singleComponentCheck()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if single.Components != 1 {
-		t.Fatalf("components = %d, want 1", single.Components)
-	}
-	if !single.Identical {
-		t.Fatal("single-component plans differ with and without decompose")
-	}
-	if single.Streams != 48 {
-		t.Fatalf("streams = %d, want 48", single.Streams)
 	}
 }
 
@@ -106,12 +70,9 @@ func TestValidateScaleGates(t *testing.T) {
 				Cpus:           1,
 				StreamsPerCell: CorpusStreamsPerCell,
 				Points: []BenchScalePoint{
-					{Family: "tree", Cells: 22, Streams: 1100, Components: 22,
-						MonoWallUs: 25_000, DecompWallUs: 35_000, Verified: true, PlansIdentical: true},
-					{Family: "tree", Cells: 44, Streams: 2200, Components: 44,
-						MonoWallUs: 50_000, DecompWallUs: 70_000, Verified: true, PlansIdentical: true},
+					{Family: "tree", Cells: 22, Streams: 1100, WallUs: 25_000, Verified: true},
+					{Family: "tree", Cells: 44, Streams: 2200, WallUs: 50_000, Verified: true},
 				},
-				SingleComponent: BenchScaleSingle{Streams: 48, Components: 1, Identical: true},
 			},
 		}
 	}
@@ -124,13 +85,10 @@ func TestValidateScaleGates(t *testing.T) {
 		want   string
 	}{
 		{"unverified", func(a *BenchArtifact) { a.Scale.Points[1].Verified = false }, "failed verification"},
-		{"diverged", func(a *BenchArtifact) { a.Scale.Points[1].PlansIdentical = false }, "diverged"},
-		{"monolithic component", func(a *BenchArtifact) { a.Scale.Points[0].Components = 1 }, "must decompose"},
+		{"no wall", func(a *BenchArtifact) { a.Scale.Points[0].WallUs = 0 }, "non-positive wall"},
 		{"too small", func(a *BenchArtifact) { a.Scale.Points[1].Streams = 1999 }, "tops out"},
-		{"superlinear", func(a *BenchArtifact) { a.Scale.Points[1].MonoWallUs = 75_000 }, "superlinear placement"},
+		{"superlinear", func(a *BenchArtifact) { a.Scale.Points[1].WallUs = 75_000 }, "superlinear placement"},
 		{"no half-size point", func(a *BenchArtifact) { a.Scale.Points[0].Streams = 1000 }, "no point at half"},
-		{"control split", func(a *BenchArtifact) { a.Scale.SingleComponent.Components = 2 }, "want 1"},
-		{"control diverged", func(a *BenchArtifact) { a.Scale.SingleComponent.Identical = false }, "differ"},
 	}
 	for _, tc := range cases {
 		a := healthy()
@@ -152,11 +110,11 @@ func TestValidateScaleGates(t *testing.T) {
 // the fingerprint does not cover the topology.
 func TestPlanFingerprintsPinned(t *testing.T) {
 	for _, family := range CorpusFamilies {
-		_, fp, _, err := corpusSolve(family, 44, DefaultSeed, false)
+		_, res, _, err := corpusSolve(family, 44, DefaultSeed)
 		if err != nil {
 			t.Fatalf("%s/44: %v", family, err)
 		}
-		if want := "91eb59eb66879441"; fp != want {
+		if fp, want := PlanFingerprint(res), "91eb59eb66879441"; fp != want {
 			t.Errorf("%s/44 fingerprint %s, want %s", family, fp, want)
 		}
 	}

@@ -32,8 +32,8 @@ const DefaultTimeUnit = time.Microsecond
 // use once construction is done; mutation (AddDevice/AddSwitch/AddLink)
 // must not race with queries. The routing caches below exist because the
 // experiment pipeline resolves the same scenario's routes once per
-// method cell — and, after the parallel fan-out and the decomposed
-// scheduler's per-component goroutines, from many readers at once.
+// method cell — and, with experiment cells fanned out over a worker pool,
+// from many readers at once.
 //
 // The caches are two-level to keep hot readers off any lock: an immutable
 // snapshot behind an atomic pointer serves the common case lock-free, and

@@ -118,12 +118,14 @@ func (r *StreamRequirement) validate(i int) error {
 	return nil
 }
 
-// SchedulerOptions carries the E-TSN tuning knobs.
+// SchedulerOptions carries the E-TSN tuning knobs. Documents on disk may
+// still carry the removed "portfolio" and "decompose" options; Parse ignores
+// unknown keys, so they plan as if the keys were absent.
 type SchedulerOptions struct {
 	// NProb is the possibilities-per-ECT count.
 	NProb int `json:"n_prob,omitempty"`
 	// Backend selects the scheduling strategy: "auto", "placer", "greedy",
-	// "anneal", "smt", "smt-incremental", or "cascade" (the backends one
+	// "smt", "smt-incremental", or "cascade" (the backends one
 	// at a time in priority order, first verified plan wins; "race", its
 	// name in older documents, still selects it). Empty means auto; the
 	// scheduling daemon defaults submitted jobs to "cascade".
@@ -139,19 +141,10 @@ type SchedulerOptions struct {
 	// per-possibility ECT latency rather than stop at the first
 	// satisfying schedule.
 	MinimizeECT bool `json:"minimize_ect,omitempty"`
-	// Portfolio runs this many diversified replicas of the monolithic SMT
-	// search and takes the first definitive answer (values <= 1 keep the
-	// single deterministic search). The incremental backend ignores it.
-	Portfolio int `json:"portfolio,omitempty"`
 	// TimeoutMs bounds the scheduler's wall-clock budget in milliseconds
 	// (core.Options.Timeout); zero means unlimited. The scheduling daemon
 	// overrides it with the per-job deadline.
 	TimeoutMs int64 `json:"timeout_ms,omitempty"`
-	// Decompose splits the solve into the connected components of the
-	// stream conflict graph, solved independently (in parallel, each
-	// through the selected backend) and merged under a final verifier
-	// re-check (core.Options.Decompose).
-	Decompose bool `json:"decompose,omitempty"`
 }
 
 // Config is a complete configuration document.
@@ -293,8 +286,6 @@ func (c *Config) coreOptions() (core.Options, error) {
 		SpreadFrames:   c.Options.Spread,
 		SharedReserves: c.Options.SharedReserves,
 		MinimizeECT:    c.Options.MinimizeECT,
-		Portfolio:      c.Options.Portfolio,
-		Decompose:      c.Options.Decompose,
 		Timeout:        time.Duration(c.Options.TimeoutMs) * time.Millisecond,
 		Obs:            c.Obs,
 		Phases:         c.Phases,

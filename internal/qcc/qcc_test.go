@@ -173,7 +173,6 @@ func TestBackendNames(t *testing.T) {
 		"auto":            "auto",
 		"placer":          "placer",
 		"greedy":          "greedy",
-		"anneal":          "anneal",
 		"cascade":         "cascade",
 		"race":            "cascade",
 		"smt":             "smt",
@@ -190,11 +189,44 @@ func TestBackendNames(t *testing.T) {
 	}
 	// Unknown (and removed) backends are rejected at configuration time,
 	// with the valid names listed.
-	for _, name := range []string{"quantum", "tabu"} {
+	for _, name := range []string{"quantum", "tabu", "anneal"} {
 		cfg := &Config{Options: SchedulerOptions{Backend: name}}
 		_, err := cfg.coreOptions()
-		if !errors.Is(err, ErrBadConfig) || !strings.Contains(err.Error(), "auto|placer|greedy|anneal|smt|smt-incremental|cascade") {
+		if !errors.Is(err, ErrBadConfig) || !strings.Contains(err.Error(), "auto|placer|greedy|smt|smt-incremental|cascade") {
 			t.Fatalf("backend %q err = %v, want ErrBadConfig listing the valid names", name, err)
+		}
+	}
+}
+
+// TestRemovedOptionsStillParse: documents on disk carry the "decompose" and
+// "portfolio" options this scheduler no longer has. Parse ignores unknown
+// keys, so such a document plans to the same deployment, byte for byte, as
+// one without them.
+func TestRemovedOptionsStillParse(t *testing.T) {
+	export := func(doc string) []byte {
+		t.Helper()
+		cfg, err := Parse([]byte(doc))
+		if err != nil {
+			t.Fatalf("Parse: %v", err)
+		}
+		dep, err := Compute(cfg)
+		if err != nil {
+			t.Fatalf("Compute: %v", err)
+		}
+		var buf bytes.Buffer
+		if err := dep.WriteJSON(&buf); err != nil {
+			t.Fatalf("WriteJSON: %v", err)
+		}
+		return buf.Bytes()
+	}
+	for _, backend := range []string{"placer", "cascade", "auto"} {
+		plain := strings.Replace(sampleConfig, `"backend": "placer"`, `"backend": "`+backend+`"`, 1)
+		old := strings.Replace(plain, `"n_prob": 5,`, `"n_prob": 5, "decompose": true, "portfolio": 4,`, 1)
+		if old == plain {
+			t.Fatal("fixture edit did not apply")
+		}
+		if !bytes.Equal(export(old), export(plain)) {
+			t.Errorf("backend %s: a document with decompose/portfolio plans differently from one without", backend)
 		}
 	}
 }

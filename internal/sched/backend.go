@@ -9,11 +9,11 @@ import (
 // Backend is the scheduler extension point: a named solving strategy that
 // turns a core.Problem into a verified-ready core.Result under a context.
 // The built-in implementations wrap the core backends (the first-fit and
-// ALAP placers, the annealing phase-shift search, the exact SMT solvers,
-// and the cascade over them); external packages can implement the
-// interface to slot new strategies into the same pipeline. Whatever a Solve
-// returns is still re-checked by core.Verify before any GCL is synthesized
-// from it — the interface carries no soundness obligations.
+// ALAP placers, the exact SMT solvers, and the cascade over them); external
+// packages can implement the interface to slot new strategies into the same
+// pipeline. Whatever a Solve returns is still re-checked by core.Verify
+// before any GCL is synthesized from it — the interface carries no
+// soundness obligations.
 type Backend interface {
 	// Name is the stable identifier used by -backend flags and configs.
 	Name() string
@@ -41,7 +41,7 @@ func (c coreBackend) Solve(ctx context.Context, p *core.Problem) (*core.Result, 
 // Backends returns the built-in backends in cascade order, the cascade
 // itself last.
 func Backends() []Backend {
-	out := make([]Backend, 0, 6)
+	out := make([]Backend, 0, 5)
 	for _, b := range core.DefaultCascade() {
 		out = append(out, coreBackend{b})
 	}

@@ -9,19 +9,7 @@ import (
 	"etsn/internal/gcl"
 	"etsn/internal/model"
 	"etsn/internal/obs"
-	"etsn/internal/psim"
 	"etsn/internal/sim"
-)
-
-// Simulation engine selectors for SimOptions.Engine.
-const (
-	// EngineSeq is the sequential event-loop simulator (the default, and
-	// the differential oracle for the sharded engine).
-	EngineSeq = "seq"
-	// EngineShard is the conservative-parallel sharded engine
-	// (internal/psim). Implies deterministic mode; results are
-	// byte-identical to EngineSeq with Deterministic set.
-	EngineShard = "shard"
 )
 
 // synthesizePlain compiles GCLs without slot sharing and with best-effort
@@ -65,19 +53,12 @@ type Problem struct {
 	// Cache optionally memoizes ECT expansion across the methods planned
 	// on one scenario (passes through to core.Options.ExpandCache).
 	Cache *core.ExpandCache
-	// Portfolio sets the diversified SMT portfolio width for monolithic
-	// solves (passes through to core.Options.Portfolio; <= 1 keeps the
-	// single deterministic search).
-	Portfolio int
 	// Backend selects the scheduling backend (passes through to
 	// core.Options.Backend; zero keeps core's auto default).
 	Backend core.Backend
 	// Timeout bounds the solve wall clock (passes through to
 	// core.Options.Timeout; zero means unlimited).
 	Timeout time.Duration
-	// Decompose splits the solve into conflict-graph components solved
-	// independently and merged (passes through to core.Options.Decompose).
-	Decompose bool
 }
 
 // Core converts to the scheduler's problem type. Evaluation plans run with
@@ -86,8 +67,8 @@ type Problem struct {
 func (p Problem) Core() *core.Problem {
 	return &core.Problem{Network: p.Network, TCT: p.TCT, ECT: p.ECT,
 		Opts: core.Options{NProb: p.NProb, SpreadFrames: p.Spread, SharedReserves: true,
-			Obs: p.Obs, Phases: p.Phases, ExpandCache: p.Cache, Portfolio: p.Portfolio,
-			Backend: p.Backend, Timeout: p.Timeout, Decompose: p.Decompose}}
+			Obs: p.Obs, Phases: p.Phases, ExpandCache: p.Cache,
+			Backend: p.Backend, Timeout: p.Timeout}}
 }
 
 // SimOptions configures a plan simulation beyond the common parameters.
@@ -121,15 +102,6 @@ type SimOptions struct {
 	// Bounds overrides the analytic per-stream worst cases used for
 	// conformance scoring; nil derives them from the plan (Plan.Bounds).
 	Bounds map[model.StreamID]time.Duration
-	// Engine selects the simulation engine: EngineSeq (default) or
-	// EngineShard. The sharded engine rejects OnFault hooks.
-	Engine string
-	// Shards is the shard count for EngineShard (0 = GOMAXPROCS).
-	Shards int
-	// Deterministic forces the sequential engine into journal-and-replay
-	// mode, making its output byte-identical to EngineShard at any shard
-	// count. EngineShard always runs deterministically.
-	Deterministic bool
 }
 
 // Simulate runs a plan against stochastic ECT traffic (plus optional
@@ -152,42 +124,29 @@ func (pl *Plan) SimulateOpts(network *model.Network, o SimOptions) (*sim.Results
 	if bounds == nil {
 		bounds = pl.Bounds(network, o.ECT)
 	}
-	cfg := sim.Config{
-		Network:       network,
-		Schedule:      pl.Schedule,
-		GCLs:          pl.GCLs,
-		ECT:           traffic,
-		BestEffort:    o.BE,
-		Reserved:      pl.Reserved,
-		Duration:      o.Duration,
-		WarmUp:        o.WarmUp,
-		Seed:          o.Seed,
-		CBS:           pl.CBS,
-		ClockOffset:   o.ClockOffset,
-		CQF:           cqf,
-		Trace:         o.Trace,
-		Faults:        o.Faults,
-		OnFault:       o.OnFault,
-		Obs:           o.Obs,
-		TraceHops:     o.TraceHops,
-		Attribution:   o.Attribution,
-		Bounds:        bounds,
-		Deterministic: o.Deterministic,
+	s, err := sim.New(sim.Config{
+		Network:     network,
+		Schedule:    pl.Schedule,
+		GCLs:        pl.GCLs,
+		ECT:         traffic,
+		BestEffort:  o.BE,
+		Reserved:    pl.Reserved,
+		Duration:    o.Duration,
+		WarmUp:      o.WarmUp,
+		Seed:        o.Seed,
+		CBS:         pl.CBS,
+		ClockOffset: o.ClockOffset,
+		CQF:         cqf,
+		Trace:       o.Trace,
+		Faults:      o.Faults,
+		OnFault:     o.OnFault,
+		Obs:         o.Obs,
+		TraceHops:   o.TraceHops,
+		Attribution: o.Attribution,
+		Bounds:      bounds,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("%s simulation: %w", pl.Method, err)
 	}
-	switch o.Engine {
-	case "", EngineSeq:
-		s, err := sim.New(cfg)
-		if err != nil {
-			return nil, fmt.Errorf("%s simulation: %w", pl.Method, err)
-		}
-		return s.Run()
-	case EngineShard:
-		r, err := psim.Run(cfg, psim.Options{Shards: o.Shards})
-		if err != nil {
-			return nil, fmt.Errorf("%s sharded simulation: %w", pl.Method, err)
-		}
-		return r, nil
-	default:
-		return nil, fmt.Errorf("%w: unknown engine %q", ErrPlan, o.Engine)
-	}
+	return s.Run()
 }

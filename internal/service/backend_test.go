@@ -2,8 +2,6 @@ package service
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -69,14 +67,7 @@ func TestSubmitBackendDefaultsToRace(t *testing.T) {
 // config it carries recomputes to that export byte for byte, and the live
 // controller rebuilt from it admits.
 func TestReplayJournalWrittenAsRace(t *testing.T) {
-	fixture, err := os.ReadFile(filepath.Join("testdata", "journal-backend-race.jsonl"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, journalName), fixture, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	dir := journalFixture(t, "journal-backend-race.jsonl", nil)
 	st, err := replayJournal(dir)
 	if err != nil || len(st.tenantDone["acme"]) != 1 {
 		t.Fatalf("fixture: %v, done records %v", err, st)

@@ -7,12 +7,14 @@ import (
 	"etsn/internal/core"
 	"etsn/internal/faults"
 	"etsn/internal/qcc"
+	"etsn/internal/sched"
+	"etsn/internal/sim"
 )
 
 // Class buckets every pipeline failure into the categories callers can act
-// on. It is the single mapping shared by the etsn-sched CLI (exit codes)
-// and the scheduling daemon (HTTP statuses), so the two front ends can
-// never disagree about what a given error means.
+// on. It is the single mapping shared by the etsn-sched and etsn-sim CLIs
+// (exit codes) and the scheduling daemon (HTTP statuses), so the front ends
+// can never disagree about what a given error means.
 type Class int
 
 const (
@@ -32,7 +34,7 @@ const (
 	ClassTimeout
 )
 
-// Classify buckets an error from the qcc/core/faults pipeline. Budget
+// Classify buckets an error from the qcc/core/faults/sched/sim pipeline. Budget
 // exhaustion is checked before infeasibility: a budget error wraps the last
 // scheduling failure, and "ran out of time" must not masquerade as a
 // definitive "no schedule exists".
@@ -42,7 +44,8 @@ func Classify(err error) Class {
 		return ClassOK
 	case errors.Is(err, core.ErrBudget):
 		return ClassTimeout
-	case errors.Is(err, qcc.ErrBadConfig), errors.Is(err, core.ErrInvalidProblem):
+	case errors.Is(err, qcc.ErrBadConfig), errors.Is(err, core.ErrInvalidProblem),
+		errors.Is(err, sim.ErrBadConfig), errors.Is(err, sched.ErrPlan):
 		return ClassInvalid
 	case errors.Is(err, core.ErrInfeasible),
 		errors.Is(err, core.ErrNeedsReplan),

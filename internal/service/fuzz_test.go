@@ -27,7 +27,7 @@ func FuzzDecodeSubmit(f *testing.F) {
 	  "type": "time-triggered", "period_us": -1}]}`))
 	f.Add([]byte(`{"network": {"devices": ["D1", "D2"], "switches": ["SW1"],
 	  "links": [{"a": "D1", "b": "SW1"}, {"a": "SW1", "b": "D2"}]},
-	  "options": {"backend": "anneal"},
+	  "options": {"backend": "greedy"},
 	  "streams": [{"id": "s", "talker": "D1", "listener": "D2",
 	  "type": "time-triggered", "period_us": 4000, "deadline_us": 4000, "length_bytes": 100}]}`))
 	f.Add([]byte(`{"options": {"backend": "quantum"}, "streams": []}`))

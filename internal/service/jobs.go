@@ -214,7 +214,7 @@ func DecodeSubmit(r io.Reader, limit int64) (*qcc.Config, error) {
 type AdmitRequest struct {
 	Streams []qcc.StreamRequirement `json:"streams"`
 	// Backend optionally names the scheduling backend for any full replan
-	// the admission falls back to (auto, placer, greedy, anneal, smt,
+	// the admission falls back to (auto, placer, greedy, smt,
 	// smt-incremental, cascade). Empty defaults to the daemon's policy:
 	// cascade. The incremental fast path is backend-independent.
 	Backend string `json:"backend,omitempty"`

@@ -7,6 +7,7 @@ import (
 	"etsn/internal/experiments"
 	"etsn/internal/obs"
 	"etsn/internal/sched"
+	"etsn/internal/sim"
 )
 
 // TestEventLoopBudgets pins the two ratios the event loop is built around,
@@ -53,5 +54,13 @@ func TestEventLoopBudgets(t *testing.T) {
 	if perEvent := allocs / float64(events); perEvent > maxAllocsPerEvent {
 		t.Errorf("%.0f allocations for %d events = %.2f per event, budget %.2f",
 			allocs, events, perEvent, maxAllocsPerEvent)
+	}
+}
+
+// TestEventSizeBudget pins the size of an event-heap entry: every push and
+// pop copies one per heap level.
+func TestEventSizeBudget(t *testing.T) {
+	if sim.EventBytes > 48 {
+		t.Errorf("event is %d bytes, budget 48", sim.EventBytes)
 	}
 }

@@ -12,8 +12,8 @@ import (
 // drops, losses, eliminations, hop traces, attribution records and
 // profiles, and conformance scores — into one deterministic byte string.
 // Two Results are equivalent iff their canonical renderings are equal;
-// the differential tests compare the parallel engine against the
-// sequential oracle this way.
+// the golden test that pins the event loop (TestSimCanonicalGolden) hashes
+// this rendering.
 func (r *Results) Canonical() []byte {
 	var b bytes.Buffer
 	fmt.Fprintf(&b, "totalDrops=%d hopTracing=%v attribOn=%v\n", r.totalDrops, r.hopTracing, r.attribOn)

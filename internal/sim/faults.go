@@ -113,8 +113,7 @@ func (f Fault) validate(n *model.Network) error {
 
 // bothDirections expands a physical link to its two directed ports, in
 // canonical (lexicographic) order so fault handling visits ports the same
-// way regardless of which direction named the link — a prerequisite for the
-// deterministic mode's cross-shard result merge.
+// way regardless of which direction named the link.
 func bothDirections(l model.LinkID) [2]model.LinkID {
 	a, b := l, l.Reverse()
 	if b.String() < a.String() {
@@ -178,7 +177,7 @@ func (s *Simulator) After(delay time.Duration, fn func()) {
 	if delay < 0 {
 		delay = 0
 	}
-	s.schedule(s.now+delay, fn)
+	s.push(s.now+delay, event{fn: fn})
 }
 
 // Reprogram installs a new schedule and fresh gate programs mid-run — the

@@ -32,25 +32,20 @@ type Frame struct {
 	// no-op) unless Config.Attribution is on and the frame post-dates the
 	// warm-up.
 	attrib *frameAttrib
-	// replica indexes the route the frame travels when 802.1CB replication
-	// fans a message over extra paths (0 = the main route). It
-	// disambiguates member copies sharing (stream, seq, frag) in the
-	// deterministic event order.
-	replica int32
 	// gen is the Reprogram generation a TCT fragment was scheduled under;
 	// a stale fragment is discarded when its emission comes up.
 	gen int32
 }
 
-// route is a path resolved once to its output ports (nil where another
-// shard owns the link), so forwarding does not hash a LinkID per hop.
+// route is a path resolved once to its output ports, so forwarding does not
+// hash a LinkID per hop.
 type route struct {
 	links []model.LinkID
 	ports []*outPort
 }
 
-// pathKey identifies a configured path by its backing array, which neither
-// the simulator nor the sharded engine ever copies.
+// pathKey identifies a configured path by its backing array, which the
+// simulator never copies.
 type pathKey struct {
 	first *model.LinkID
 	n     int

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"math/rand"
 	"slices"
 	"sort"
 	"time"
@@ -62,13 +61,6 @@ type outPort struct {
 	depth      int
 	mQueueHWM  *obs.Gauge
 	mGateOpens *obs.Counter
-	// ord is the link's dense ordinal, wakeKey the deterministic key all of
-	// this port's trySend wake-ups share, and lossRng the port's private
-	// loss-draw stream; ord/wakeKey stay zero and lossRng nil outside
-	// deterministic mode.
-	ord     int32
-	wakeKey evKey
-	lossRng *rand.Rand
 }
 
 // unavailable reports whether the port cannot accept or send frames now
@@ -84,7 +76,7 @@ func (p *outPort) flush() {
 		for _, f := range p.queues[pri] {
 			p.drops++
 			p.sim.mDropsFlush.Inc()
-			p.sim.recDrop(p.ord, f.Stream, p.sim.now)
+			p.sim.results.recordDrop(f.Stream, p.sim.now)
 			p.sim.trace.emit(p.sim.now, "drop", f, p.link.ID())
 		}
 		p.queues[pri] = nil
@@ -241,7 +233,7 @@ func (p *outPort) enqueue(f *Frame) {
 		// A dead link or rebooting switch discards arrivals immediately.
 		p.drops++
 		p.sim.mDropsDown.Inc()
-		p.sim.recDrop(p.ord, f.Stream, p.sim.now)
+		p.sim.results.recordDrop(f.Stream, p.sim.now)
 		p.sim.trace.emit(p.sim.now, "drop", f, p.link.ID())
 		return
 	}
@@ -297,7 +289,7 @@ func (p *outPort) trySend() {
 			p.popHead(pri)
 			p.drops++
 			p.sim.mDropsJam.Inc()
-			p.sim.recDrop(p.ord, head.Stream, now)
+			p.sim.results.recordDrop(head.Stream, now)
 			p.sim.trace.emit(now, "drop", head, p.link.ID())
 			p.pushWake(now, p.sim.nextSeq())
 			return
@@ -340,7 +332,7 @@ func (p *outPort) pushWake(at time.Duration, seq int64) {
 		return
 	}
 	p.pend = append(p.pend, at)
-	p.sim.events.push(event{at: at, key: p.wakeKey, seq: seq, kind: evWake, port: p})
+	p.sim.events.push(event{at: at, seq: seq, kind: evWake, port: p})
 }
 
 // wake handles the port's wake-up event for the current instant.
@@ -400,30 +392,13 @@ func (p *outPort) transmit(f *Frame, pri int, tx time.Duration) {
 	if now < p.burstUntil && p.burstLoss > loss {
 		loss = p.burstLoss
 	}
-	rng := p.sim.rng
-	if p.lossRng != nil {
-		rng = p.lossRng
-	}
-	if loss > 0 && rng.Float64() < loss {
+	if loss > 0 && p.sim.rng.Float64() < loss {
 		// The frame is corrupted on the wire and never arrives.
 		p.sim.mLost.Inc()
-		p.sim.recLost(p.ord, f.Stream, now)
+		p.sim.results.recordLost(f.Stream, now)
 		p.sim.trace.emit(now, "lost", f, p.link.ID())
 	} else {
-		arrival := now + tx + p.link.PropDelay
-		var key evKey
-		if p.sim.det {
-			key = makeKey(evClassDeliver, p.ord, p.sim.ordOf(f.Stream), f.Seq, 0, f.Frag, int(f.replica))
-		}
-		if dst := p.sim.deliverDst(f); dst >= 0 {
-			// The frame's next processing step belongs to another shard:
-			// hand it off as a timestamped event instead of scheduling
-			// locally. Cut-link delays guarantee arrival lands at least one
-			// lookahead past the current window.
-			p.sim.shard.emit(Handoff{At: arrival, dst: dst, key: key, frame: f})
-		} else {
-			p.sim.push(arrival, key, event{kind: evDeliver, frame: f})
-		}
+		p.sim.push(now+tx+p.link.PropDelay, event{kind: evDeliver, frame: f})
 	}
 	// The completion wake takes its place in the event order now, but goes
 	// on the heap only once there is a frame for it to send.

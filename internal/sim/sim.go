@@ -130,16 +130,6 @@ type Config struct {
 	// fault takes effect — the hook a recovery controller uses to replan
 	// and Reprogram the network mid-run.
 	OnFault func(*Simulator, Fault)
-	// Deterministic switches the event loop from insertion-order
-	// tie-breaking to a content-derived total order (see evKey) and gives
-	// every stochastic entity — ECT source, best-effort flow, lossy port —
-	// its own RNG stream. The resulting trajectory is computable from
-	// local information alone, which is what lets the conservative-parallel
-	// engine (internal/psim) reproduce it byte-for-byte at any shard
-	// count. Off by default: the legacy order is kept bit-identical for
-	// existing seeds. Deterministic runs journal results and trace lines
-	// in memory and replay them in key order at the end of the run.
-	Deterministic bool
 }
 
 // CQFConfig parameterizes 802.1Qch operation.
@@ -203,29 +193,6 @@ type Simulator struct {
 	// slackHist holds one slack histogram per bounded stream (all nil
 	// no-ops when cfg.Obs is nil).
 	slackHist map[model.StreamID]*obs.Histogram
-	// det caches Config.Deterministic (forced on in shard mode).
-	det bool
-	// streamOrd/linkOrd assign dense ordinals used in deterministic event
-	// keys; nil unless det.
-	streamOrd map[model.StreamID]int32
-	linkOrd   map[model.LinkID]int32
-	// srcRng/beRng are the per-entity RNG streams of deterministic mode:
-	// each ECT source and best-effort flow draws from its own generator,
-	// so arrival sequences do not depend on how entities interleave in
-	// the global event order (per-port loss RNGs live on the ports).
-	srcRng []*rand.Rand
-	beRng  []*rand.Rand
-	// userSeq numbers user-scheduled callbacks for their event keys;
-	// curKey is the key of the currently executing event.
-	userSeq int64
-	curKey  evKey
-	// journal buffers Results mutations with their event keys in
-	// deterministic mode; they are replayed in global key order at the
-	// end of the run (or merged across shards by the parallel engine).
-	journal []resEntry
-	// shard wires this instance into the parallel engine; nil for the
-	// ordinary sequential simulator.
-	shard *shardHooks
 	// Cached instruments; all nil (free no-ops) when cfg.Obs is nil.
 	mEvents       *obs.Counter
 	mEventsPerSec *obs.Gauge
@@ -252,12 +219,7 @@ type msgKey struct {
 }
 
 // New validates the configuration and builds a simulator.
-func New(cfg Config) (*Simulator, error) { return newSimulator(cfg, nil) }
-
-// newSimulator builds either the ordinary whole-network simulator (hooks
-// nil) or one shard of the parallel engine, which owns only the ports its
-// partition assigned to it.
-func newSimulator(cfg Config, hooks *shardHooks) (*Simulator, error) {
+func New(cfg Config) (*Simulator, error) {
 	if cfg.Network == nil {
 		return nil, fmt.Errorf("%w: nil network", ErrBadConfig)
 	}
@@ -316,20 +278,9 @@ func newSimulator(cfg Config, hooks *shardHooks) (*Simulator, error) {
 		ectPath:   make(map[model.StreamID][]model.LinkID),
 		routes:    make(map[pathKey]*route),
 		clockStep: make(map[model.NodeID]time.Duration),
-		shard:     hooks,
 	}
-	s.det = cfg.Deterministic || hooks != nil
 	if cfg.Trace != nil {
 		s.trace = newTracer(cfg.Trace)
-		if s.det {
-			// Deterministic runs buffer trace lines with their event keys
-			// and flush them in global order at the end (shards hand their
-			// buffers to WriteMergedTrace instead).
-			s.trace.cap = &traceCapture{s: s}
-		}
-	}
-	if s.det {
-		s.initDeterministic()
 	}
 	s.attribOn = cfg.Attribution
 	s.results.hopTracing = cfg.TraceHops
@@ -363,15 +314,7 @@ func newSimulator(cfg Config, hooks *shardHooks) (*Simulator, error) {
 			program = &gcl.PortGCL{Link: link.ID(), Cycle: time.Millisecond,
 				Entries: []gcl.Entry{{Duration: time.Millisecond, Gates: 0xFF}}}
 		}
-		if hooks != nil && hooks.owner(link.ID()) != hooks.idx {
-			continue
-		}
 		p := &outPort{sim: s, link: link, program: program, shapers: make(map[int]*shaper)}
-		if s.det {
-			p.ord = s.linkOrd[link.ID()]
-			p.wakeKey = makeKey(evClassWake, p.ord, 0, 0, 0, 0, 0)
-			p.lossRng = rand.New(rand.NewSource(subSeed(cfg.Seed, 'L', int64(p.ord))))
-		}
 		p.mQueueHWM = cfg.Obs.Gauge(obs.Labels("etsn_sim_queue_depth_hwm", "link", link.ID().String()))
 		p.mGateOpens = cfg.Obs.Counter(obs.Labels("etsn_sim_gate_opens_total", "link", link.ID().String()))
 		p.buildWindows()
@@ -418,45 +361,6 @@ func (s *Simulator) resolveSchedule(sc *model.Schedule) error {
 	return nil
 }
 
-// initDeterministic assigns the dense stream/link ordinals deterministic
-// event keys are built from, and gives every stochastic entity its own RNG
-// stream (derived from the seed by splitmix64) so random draws do not
-// depend on how entities interleave in the global event order.
-func (s *Simulator) initDeterministic() {
-	ids := make(map[model.StreamID]bool, len(s.cfg.Schedule.Streams))
-	for id := range s.cfg.Schedule.Streams {
-		ids[id] = true
-	}
-	for _, e := range s.cfg.ECT {
-		ids[e.Stream.ID] = true
-	}
-	for i := range s.cfg.BestEffort {
-		ids[BEStreamID(i)] = true
-	}
-	sorted := make([]model.StreamID, 0, len(ids))
-	for id := range ids {
-		sorted = append(sorted, id)
-	}
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	s.streamOrd = make(map[model.StreamID]int32, len(sorted))
-	for i, id := range sorted {
-		s.streamOrd[id] = int32(i)
-	}
-	links := s.cfg.Network.Links()
-	s.linkOrd = make(map[model.LinkID]int32, len(links))
-	for i, l := range links {
-		s.linkOrd[l.ID()] = int32(i)
-	}
-	s.srcRng = make([]*rand.Rand, len(s.cfg.ECT))
-	for i := range s.srcRng {
-		s.srcRng[i] = rand.New(rand.NewSource(subSeed(s.cfg.Seed, 'E', int64(i))))
-	}
-	s.beRng = make([]*rand.Rand, len(s.cfg.BestEffort))
-	for i := range s.beRng {
-		s.beRng[i] = rand.New(rand.NewSource(subSeed(s.cfg.Seed, 'B', int64(i))))
-	}
-}
-
 // newAttrib allocates a frame's attribution record, or nil (the free
 // no-op) when attribution is off or the frame pre-dates the warm-up.
 func (s *Simulator) newAttrib(f *Frame) *frameAttrib {
@@ -485,13 +389,13 @@ func (s *Simulator) localTime(node model.NodeID, t time.Duration) time.Duration 
 	return out
 }
 
-// push puts an event on the heap under its time, its deterministic key
-// (all-zero outside deterministic mode) and the next insertion sequence.
-func (s *Simulator) push(at time.Duration, key evKey, e event) {
+// push puts an event on the heap under its time and the next insertion
+// sequence.
+func (s *Simulator) push(at time.Duration, e event) {
 	if at < s.now {
 		at = s.now
 	}
-	e.at, e.key, e.seq = at, key, s.nextSeq()
+	e.at, e.seq = at, s.nextSeq()
 	s.events.push(e)
 }
 
@@ -500,10 +404,9 @@ func (s *Simulator) nextSeq() int64 {
 	return s.seq
 }
 
-// dispatch runs one popped event; Run and Shard.RunWindow share it.
+// dispatch runs one popped event.
 func (s *Simulator) dispatch(e *event) {
 	s.now = e.at
-	s.curKey = e.key
 	switch e.kind {
 	case evDeliver:
 		s.deliver(e.frame)
@@ -519,29 +422,11 @@ func (s *Simulator) dispatch(e *event) {
 	}
 }
 
-// schedule pushes a user-ordered event: recovery hooks and After callbacks
-// go through here and get sequential user-class keys in deterministic mode.
-func (s *Simulator) schedule(at time.Duration, fn func()) {
-	var key evKey
-	if s.det {
-		s.userSeq++
-		key = makeKey(evClassUser, -1, 0, s.userSeq, 0, 0, 0)
-	}
-	s.push(at, key, event{fn: fn})
-}
-
 // prime schedules the initial event population: fault injections, TCT
-// talker cycles, and the first occurrence of every stochastic source. In
-// shard mode only the sources emitting on this shard's ports are started
-// (faults are replicated everywhere and self-filter to local ports).
+// talker cycles, and the first occurrence of every stochastic source.
 func (s *Simulator) prime() {
-	for i := range s.cfg.Faults {
-		f := s.cfg.Faults[i]
-		var key evKey
-		if s.det {
-			key = makeKey(evClassFault, -1, int32(i), 0, 0, 0, 0)
-		}
-		s.push(f.At, key, event{fn: func() { s.applyFault(f) }})
+	for _, f := range s.cfg.Faults {
+		s.push(f.At, event{fn: func() { s.applyFault(f) }})
 	}
 	s.launchTCT(0)
 	s.startECTSources()
@@ -570,9 +455,6 @@ func (s *Simulator) Run() (*Results, error) {
 	for _, p := range s.ports {
 		s.results.totalDrops += p.drops
 	}
-	if s.det {
-		s.finalizeDet()
-	}
 	return s.results, nil
 }
 
@@ -594,9 +476,6 @@ func (s *Simulator) launchTCT(from time.Duration) {
 			continue
 		}
 		rt := s.routeOf(st.Path)
-		if rt.ports[0] == nil {
-			continue // another shard's talker
-		}
 		slots := s.cfg.Schedule.StreamSlots(st.ID, st.Path[0])
 		if len(slots) == 0 {
 			continue
@@ -623,19 +502,9 @@ func (s *Simulator) scheduleTCTCycle(gen int32, st *model.Stream, rt *route, off
 	if base > s.cfg.Duration {
 		return
 	}
-	var ord int32
-	if s.det {
-		ord = s.ordOf(st.ID)
-	}
 	created := base + offsets[0]
 	frags := len(offsets)
 	for j := 0; j < frags; j++ {
-		var key evKey
-		if s.det {
-			// sub=1 sorts emissions after the cycle reschedule (sub=0) when
-			// an offset-zero emission lands exactly on the cycle boundary.
-			key = makeKey(evClassTCT, -1, ord, cycle, 1, j, 0)
-		}
 		f := s.newFrame(Frame{
 			Stream:       st.ID,
 			Seq:          cycle,
@@ -647,13 +516,9 @@ func (s *Simulator) scheduleTCTCycle(gen int32, st *model.Stream, rt *route, off
 			route:        rt,
 			gen:          gen,
 		})
-		s.push(base+offsets[j], key, event{kind: evEmit, frame: f})
+		s.push(base+offsets[j], event{kind: evEmit, frame: f})
 	}
-	var key evKey
-	if s.det {
-		key = makeKey(evClassTCT, -1, ord, cycle+1, 0, 0, 0)
-	}
-	s.push(base+st.Period, key, event{fn: func() {
+	s.push(base+st.Period, event{fn: func() {
 		if gen != s.gen {
 			return
 		}
@@ -661,20 +526,9 @@ func (s *Simulator) scheduleTCTCycle(gen int32, st *model.Stream, rt *route, off
 	}})
 }
 
-// startECTSources schedules the first occurrence of every event source. A
-// shard runs every source whose routes launch from one of its ports; a
-// source replicated over cut first-links runs on each owning shard with an
-// identical copy of its RNG stream, so the replicas agree on event times.
+// startECTSources schedules the first occurrence of every event source.
 func (s *Simulator) startECTSources() {
-	for i := range s.cfg.ECT {
-		src := s.cfg.ECT[i]
-		if !s.ectOnShard(i) {
-			continue
-		}
-		rng := s.rng
-		if s.det {
-			rng = s.srcRng[i]
-		}
+	for _, src := range s.cfg.ECT {
 		gap := src.Gaps
 		if gap == nil {
 			gap = func(rng *rand.Rand) time.Duration {
@@ -683,24 +537,20 @@ func (s *Simulator) startECTSources() {
 			}
 		}
 		// First event lands uniformly inside the first interevent window.
-		first := time.Duration(rng.Int63n(int64(src.Stream.MinInterevent)))
-		s.scheduleECTEvent(src, i, rng, gap, first, 0)
+		first := time.Duration(s.rng.Int63n(int64(src.Stream.MinInterevent)))
+		s.scheduleECTEvent(src, gap, first, 0)
 	}
 }
 
-func (s *Simulator) scheduleECTEvent(src ECTTraffic, idx int, rng *rand.Rand, gap func(*rand.Rand) time.Duration, at time.Duration, seq int64) {
+func (s *Simulator) scheduleECTEvent(src ECTTraffic, gap func(*rand.Rand) time.Duration, at time.Duration, seq int64) {
 	if at > s.cfg.Duration {
 		return
 	}
-	var key evKey
-	if s.det {
-		key = makeKey(evClassECT, -1, int32(idx), seq, 0, 0, 0)
-	}
-	s.push(at, key, event{fn: func() {
+	s.push(at, event{fn: func() {
 		if s.shed[src.Stream.ID] {
 			// Shed event sources stay silent but keep ticking so a later
 			// Reprogram could resume them.
-			s.scheduleECTEvent(src, idx, rng, gap, at+gap(rng), seq)
+			s.scheduleECTEvent(src, gap, at+gap(s.rng), seq)
 			return
 		}
 		frags := src.Stream.Frames()
@@ -708,17 +558,10 @@ func (s *Simulator) scheduleECTEvent(src ECTTraffic, idx int, rng *rand.Rand, ga
 		if p := s.ectPath[src.Stream.ID]; p != nil {
 			route = p
 		}
-		if s.routeOf(route).ports[0] != nil {
-			// Exactly one shard (the main route's owner) accounts the
-			// emission; replica launches elsewhere stay silent.
-			s.recEmitted(src.Stream.ID)
-		}
+		s.results.recordEmitted(src.Stream.ID)
 		paths := append([][]model.LinkID{route}, src.ExtraPaths...)
-		for pi, path := range paths {
+		for _, path := range paths {
 			rt := s.routeOf(path)
-			if rt.ports[0] == nil {
-				continue // launched by the shard owning the first link
-			}
 			for j := 0; j < frags; j++ {
 				f := s.newFrame(Frame{
 					Stream:       src.Stream.ID,
@@ -729,13 +572,12 @@ func (s *Simulator) scheduleECTEvent(src ECTTraffic, idx int, rng *rand.Rand, ga
 					PayloadBytes: fragmentBytes(src.Stream.LengthBytes, frags, j),
 					Created:      at,
 					route:        rt,
-					replica:      int32(pi),
 				})
 				f.attrib = s.newAttrib(f)
 				rt.ports[0].enqueue(f)
 			}
 		}
-		s.scheduleECTEvent(src, idx, rng, gap, at+gap(rng), seq+1)
+		s.scheduleECTEvent(src, gap, at+gap(s.rng), seq+1)
 	}})
 }
 
@@ -755,31 +597,23 @@ func (s *Simulator) startBESources() {
 		if be.PayloadBytes == 0 {
 			be.PayloadBytes = model.MTUBytes
 		}
-		if be.MeanGap <= 0 || len(be.Path) == 0 || s.routeOf(be.Path).ports[0] == nil {
+		if be.MeanGap <= 0 || len(be.Path) == 0 {
 			continue
 		}
-		rng := s.rng
-		if s.det {
-			rng = s.beRng[i]
-		}
-		first := time.Duration(rng.ExpFloat64() * float64(be.MeanGap))
-		s.scheduleBEFrame(be, s.routeOf(be.Path), i, rng, first, 0)
+		first := time.Duration(s.rng.ExpFloat64() * float64(be.MeanGap))
+		s.scheduleBEFrame(be, s.routeOf(be.Path), i, first, 0)
 	}
 }
 
-func (s *Simulator) scheduleBEFrame(be BETraffic, rt *route, flow int, rng *rand.Rand, at time.Duration, seq int64) {
+func (s *Simulator) scheduleBEFrame(be BETraffic, rt *route, flow int, at time.Duration, seq int64) {
 	if at > s.cfg.Duration {
 		return
 	}
-	var key evKey
-	if s.det {
-		key = makeKey(evClassBE, -1, int32(flow), seq, 0, 0, 0)
-	}
-	s.push(at, key, event{fn: func() {
+	s.push(at, event{fn: func() {
 		id := s.beIDs[flow]
-		gap := time.Duration(rng.ExpFloat64() * float64(be.MeanGap))
+		gap := time.Duration(s.rng.ExpFloat64() * float64(be.MeanGap))
 		if s.shed[id] {
-			s.scheduleBEFrame(be, rt, flow, rng, at+gap, seq)
+			s.scheduleBEFrame(be, rt, flow, at+gap, seq)
 			return
 		}
 		f := s.newFrame(Frame{
@@ -793,7 +627,7 @@ func (s *Simulator) scheduleBEFrame(be BETraffic, rt *route, flow int, rng *rand
 		})
 		f.attrib = s.newAttrib(f)
 		rt.ports[0].enqueue(f)
-		s.scheduleBEFrame(be, rt, flow, rng, at+gap, seq+1)
+		s.scheduleBEFrame(be, rt, flow, at+gap, seq+1)
 	}})
 }
 
@@ -803,20 +637,20 @@ func (s *Simulator) deliver(f *Frame) {
 	s.trace.emit(s.now, "deliver", f, f.CurrentLink())
 	f.attrib.endHop()
 	if s.cfg.TraceHops && f.Created >= s.cfg.WarmUp {
-		s.recHop(f.Stream, f.Hop, s.now-f.Created)
+		s.results.recordHop(f.Stream, f.Hop, s.now-f.Created)
 	}
 	if f.LastHop() {
 		if s.cfg.Eliminate {
 			fk := fragKey{stream: f.Stream, seq: f.Seq, frag: f.Frag}
 			if s.seen[fk] {
-				s.recEliminated(f.Stream)
+				s.results.recordEliminated(f.Stream)
 				return
 			}
 			s.seen[fk] = true
 		}
 		if f.attrib != nil {
 			f.attrib.rec.DeliveredNs = int64(s.now)
-			s.recFrame(&f.attrib.rec)
+			s.results.recordFrame(&f.attrib.rec)
 			s.trace.emitAttrib(s.now, &f.attrib.rec)
 			s.mAttribFrames.Inc()
 		}
@@ -826,7 +660,7 @@ func (s *Simulator) deliver(f *Frame) {
 			delete(s.arrived, k)
 			if f.Created >= s.cfg.WarmUp {
 				lat := s.now - f.Created
-				s.recDelivered(f.Stream, lat, s.now)
+				s.results.record(f.Stream, lat, s.now)
 				s.mDelivered.Inc()
 				s.mLatencyNs.Observe(int64(lat))
 				if bound, ok := s.cfg.Bounds[f.Stream]; ok {
@@ -850,7 +684,7 @@ func (s *Simulator) scoreBound(f *Frame, bound, lat time.Duration) {
 	if f.attrib != nil {
 		rec = &f.attrib.rec
 	}
-	s.recConf(f.Stream, bound, lat, rec)
+	s.results.recordConformance(f.Stream, bound, lat, rec)
 	s.mBoundChecked.Inc()
 	slack := bound - lat
 	if slack < 0 {

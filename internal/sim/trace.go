@@ -32,13 +32,6 @@ type TraceEvent struct {
 // object per line, fields in declaration order.
 type tracer struct {
 	sink *obs.LineSink
-	// cap, when non-nil (deterministic mode), buffers encoded lines with
-	// their event keys instead of writing them; the run flushes the buffer
-	// in global (time, key, link) order at the end, which is also how the
-	// parallel engine merges per-shard buffers. The encoded bytes are
-	// identical to the sink path: json.Marshal plus a newline is exactly
-	// what json.Encoder.Encode writes.
-	cap *traceCapture
 }
 
 func newTracer(w io.Writer) *tracer {
@@ -91,7 +84,7 @@ func (t *tracer) emit(now time.Duration, kind string, f *Frame, link model.LinkI
 	}
 	// Encoding errors cannot be surfaced per event; the trace is a debug
 	// artifact, so a failed write simply truncates it.
-	ev := TraceEvent{
+	t.sink.Emit(TraceEvent{
 		TimeNs:   int64(now),
 		Kind:     kind,
 		Stream:   string(f.Stream),
@@ -99,12 +92,7 @@ func (t *tracer) emit(now time.Duration, kind string, f *Frame, link model.LinkI
 		Frag:     f.Frag,
 		Link:     link.String(),
 		Priority: f.Priority,
-	}
-	if t.cap != nil {
-		t.cap.add(t.cap.s.linkOrd[link], ev)
-		return
-	}
-	t.sink.Emit(ev)
+	})
 }
 
 func (t *tracer) emitAttrib(now time.Duration, rec *FrameRecord) {
@@ -125,7 +113,7 @@ func (t *tracer) emitAttrib(now time.Duration, rec *FrameRecord) {
 			PropNs:    h.PropNs,
 		}
 	}
-	ev := AttribEvent{
+	t.sink.Emit(AttribEvent{
 		TimeNs:      int64(now),
 		Kind:        "attrib",
 		Stream:      string(rec.Stream),
@@ -136,19 +124,14 @@ func (t *tracer) emitAttrib(now time.Duration, rec *FrameRecord) {
 		EnqueuedNs:  rec.EnqueuedNs,
 		DeliveredNs: rec.DeliveredNs,
 		Hops:        hops,
-	}
-	if t.cap != nil {
-		t.cap.add(-1, ev)
-		return
-	}
-	t.sink.Emit(ev)
+	})
 }
 
 func (t *tracer) emitSlack(now time.Duration, f *Frame, lat, bound time.Duration) {
 	if t == nil {
 		return
 	}
-	ev := SlackEvent{
+	t.sink.Emit(SlackEvent{
 		TimeNs:  int64(now),
 		Kind:    "slack",
 		Stream:  string(f.Stream),
@@ -156,10 +139,5 @@ func (t *tracer) emitSlack(now time.Duration, f *Frame, lat, bound time.Duration
 		LatNs:   int64(lat),
 		BoundNs: int64(bound),
 		SlackNs: int64(bound - lat),
-	}
-	if t.cap != nil {
-		t.cap.add(-1, ev)
-		return
-	}
-	t.sink.Emit(ev)
+	})
 }

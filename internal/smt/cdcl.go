@@ -128,12 +128,9 @@ type cdclState struct {
 	varInc    float64
 	clauseInc float64
 
-	// branching heap: indexed max-heap over unassigned atoms. rank holds
-	// the ScanOffset-rotated tie-break order, precomputed so heapLess is
-	// two array reads.
+	// branching heap: indexed max-heap over unassigned atoms.
 	heap    []int32
 	heapPos []int32
-	rank    []int32
 
 	// analysis scratch
 	seen      []bool
@@ -155,10 +152,10 @@ type cdclState struct {
 }
 
 const (
-	defaultRestartBase = 100
-	varDecayFactor     = 0.95
-	clauseDecayFactor  = 0.999
-	activityRescale    = 1e100
+	restartBase       = 100 // conflicts before the first restart; scaled by the Luby sequence
+	varDecayFactor    = 0.95
+	clauseDecayFactor = 0.999
+	activityRescale   = 1e100
 )
 
 // luby returns the i-th element (1-based) of the Luby restart sequence:
@@ -254,11 +251,7 @@ func (c *cdclState) init(s *Solver) bool {
 	c.expls = c.expls[:0]
 	c.conflictsSinceRestart = 0
 	c.lubyIdx = 1
-	base := int64(s.RestartBase)
-	if base <= 0 {
-		base = defaultRestartBase
-	}
-	c.restartLimit = base * luby(c.lubyIdx)
+	c.restartLimit = restartBase * luby(c.lubyIdx)
 	if min := 1000 + len(s.clauses)/2; c.maxLearnts < min {
 		c.maxLearnts = min
 	}
@@ -322,21 +315,7 @@ func (c *cdclState) init(s *Solver) bool {
 		c.attach(int32(-1-li), le.lits[0], le.lits[1])
 	}
 
-	// Branching heap over all atoms, with the VSIDS tie-break ranks
-	// rotated by ScanOffset (the CDCL diversification axis replacing the
-	// reference solver's clause-scan rotation).
-	c.rank = resizeI32(c.rank, n)
-	roff := 0
-	if s.ScanOffset > 0 && n > 0 {
-		roff = s.ScanOffset % n
-	}
-	for id := 0; id < n; id++ {
-		r := id - roff
-		if r < 0 {
-			r += n
-		}
-		c.rank[id] = int32(r)
-	}
+	// Branching heap over all atoms.
 	c.heapPos = resizeI32(c.heapPos, n)
 	for i := range c.heapPos {
 		c.heapPos[i] = -1
@@ -605,11 +584,7 @@ func (c *cdclState) decide(s *Solver) bool {
 	}
 	ph := c.saved[id]
 	if ph == 0 {
-		holds := s.g.holds(s.atoms[id])
-		if s.InvertPhase {
-			holds = !holds
-		}
-		if holds {
+		if s.g.holds(s.atoms[id]) {
 			ph = 1
 		} else {
 			ph = -1
@@ -648,11 +623,7 @@ func (c *cdclState) restart(s *Solver) {
 	s.stats.Restarts++
 	c.conflictsSinceRestart = 0
 	c.lubyIdx++
-	base := int64(s.RestartBase)
-	if base <= 0 {
-		base = defaultRestartBase
-	}
-	c.restartLimit = base * luby(c.lubyIdx)
+	c.restartLimit = restartBase * luby(c.lubyIdx)
 	if len(c.learnts) > c.maxLearnts {
 		c.reduceDB(s)
 	}
@@ -1023,13 +994,12 @@ func (c *cdclState) bumpVar(s *Solver, id int) {
 }
 
 // heapLess orders the branching heap: higher activity first, ties broken
-// by the precomputed ScanOffset-rotated atom order so portfolio replicas
-// explore different atoms first.
+// by atom order.
 func (c *cdclState) heapLess(s *Solver, a, b int32) bool {
 	if c.activity[a] != c.activity[b] {
 		return c.activity[a] > c.activity[b]
 	}
-	return c.rank[a] < c.rank[b]
+	return a < b
 }
 
 func (c *cdclState) heapInsert(s *Solver, id int32) {

@@ -43,80 +43,40 @@ func checkJobShopModel(t *testing.T, m *Model, vars []Var, length, horizon int64
 	}
 }
 
-func TestSolvePortfolioSat(t *testing.T) {
-	const n, length = 8, 10
-	horizon := int64((n - 1) * length)
-	s, vars := jobShop(n, length, horizon)
-	m, err := s.SolvePortfolio(context.Background(), 4)
-	if err != nil {
-		t.Fatalf("SolvePortfolio: %v", err)
-	}
-	checkJobShopModel(t, m, vars, length, horizon)
-	if got := s.TotalStats(); got.Decisions == 0 {
-		t.Fatalf("TotalStats.Decisions = 0, want aggregated replica effort")
-	}
-	if s.Solves() < 4 {
-		t.Fatalf("Solves = %d, want >= 4 (one per replica)", s.Solves())
-	}
-}
-
-func TestSolvePortfolioUnsat(t *testing.T) {
-	const n, length = 6, 10
-	horizon := int64((n-1)*length - 1) // one slot too tight
-	s, _ := jobShop(n, length, horizon)
-	if _, err := s.SolvePortfolio(context.Background(), 4); !errors.Is(err, ErrUnsat) {
-		t.Fatalf("SolvePortfolio = %v, want ErrUnsat", err)
-	}
-}
-
-func TestSolvePortfolioAgreesWithSolve(t *testing.T) {
-	// Every diversified replica must reach the same verdict as the plain
-	// search on both satisfiable and unsatisfiable instances.
-	for _, sat := range []bool{true, false} {
-		const n, length = 5, 7
-		horizon := int64((n - 1) * length)
-		if !sat {
-			horizon--
-		}
-		single, _ := jobShop(n, length, horizon)
-		_, errSingle := single.Solve()
-		port, _ := jobShop(n, length, horizon)
-		_, errPort := port.SolvePortfolio(context.Background(), 3)
-		if (errSingle == nil) != (errPort == nil) {
-			t.Fatalf("sat=%v: Solve err %v, SolvePortfolio err %v", sat, errSingle, errPort)
-		}
-	}
-}
-
-func TestSolvePortfolioSingleReplica(t *testing.T) {
+func TestSolveContextSat(t *testing.T) {
 	s, vars := jobShop(4, 5, 30)
-	m, err := s.SolvePortfolio(context.Background(), 1)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	m, err := s.SolveContext(ctx)
 	if err != nil {
-		t.Fatalf("SolvePortfolio(1): %v", err)
+		t.Fatalf("SolveContext: %v", err)
 	}
 	checkJobShopModel(t, m, vars, 5, 30)
+	if s.Stop != nil {
+		t.Fatal("SolveContext left its stop flag installed")
+	}
 }
 
-func TestSolvePortfolioCancellation(t *testing.T) {
+func TestSolveContextCancellation(t *testing.T) {
 	// A hard over-constrained instance with no decision budget: the only
 	// way out is the context.
 	s, _ := jobShop(14, 10, 100)
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := s.SolvePortfolio(ctx, 4)
+		_, err := s.SolveContext(ctx)
 		done <- err
 	}()
 	cancel()
 	select {
 	case err := <-done:
-		// Either the context won the race or a replica finished first;
+		// Either the context won the race or the search finished first;
 		// both are valid outcomes, but a canceled run must say so.
 		if err != nil && !errors.Is(err, ErrCanceled) && !errors.Is(err, ErrUnsat) {
-			t.Fatalf("SolvePortfolio = %v, want ErrCanceled or a definitive answer", err)
+			t.Fatalf("SolveContext = %v, want ErrCanceled or a definitive answer", err)
 		}
 	case <-time.After(30 * time.Second):
-		t.Fatal("SolvePortfolio did not return after cancellation")
+		t.Fatal("SolveContext did not return after cancellation")
 	}
 }
 
@@ -127,44 +87,6 @@ func TestSolveStopFlag(t *testing.T) {
 	s.Stop = &stop
 	if _, err := s.Solve(); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("Solve with stop set = %v, want ErrCanceled", err)
-	}
-}
-
-func TestCloneIndependence(t *testing.T) {
-	s, vars := jobShop(4, 5, 30)
-	c := s.Clone()
-	if c.NumClauses() != s.NumClauses() || c.NumAtoms() != s.NumAtoms() || c.NumVars() != s.NumVars() {
-		t.Fatalf("clone sizes differ: clauses %d/%d atoms %d/%d vars %d/%d",
-			c.NumClauses(), s.NumClauses(), c.NumAtoms(), s.NumAtoms(), c.NumVars(), s.NumVars())
-	}
-	// Adding clauses to the parent must not leak into the clone.
-	s.AssertRange(vars[0], 100, 200) // makes the parent UNSAT (range was [0,30])
-	if _, err := s.Solve(); !errors.Is(err, ErrUnsat) {
-		t.Fatalf("parent Solve = %v, want ErrUnsat", err)
-	}
-	m, err := c.Solve()
-	if err != nil {
-		t.Fatalf("clone Solve: %v", err)
-	}
-	checkJobShopModel(t, m, vars, 5, 30)
-	if c.Solves() != 1 {
-		t.Fatalf("clone Solves = %d, want 1 (counters reset on clone)", c.Solves())
-	}
-}
-
-func TestSolvePortfolioDiversification(t *testing.T) {
-	// The diversification knobs themselves must preserve correctness.
-	for offset := 0; offset < 5; offset++ {
-		for _, invert := range []bool{false, true} {
-			s, vars := jobShop(6, 4, 40)
-			s.ScanOffset = offset * 7
-			s.InvertPhase = invert
-			m, err := s.Solve()
-			if err != nil {
-				t.Fatalf("offset=%d invert=%v: %v", offset, invert, err)
-			}
-			checkJobShopModel(t, m, vars, 4, 40)
-		}
 	}
 }
 
@@ -223,7 +145,7 @@ func TestPopRetractsInternedAtoms(t *testing.T) {
 	}
 }
 
-func TestPopNoAtomLeakAcrossClones(t *testing.T) {
+func TestPopNoAtomLeakAcrossMinimize(t *testing.T) {
 	s := NewSolver()
 	v := s.NewVar("v")
 	s.AssertRange(v, 0, 1000)
@@ -252,20 +174,16 @@ func TestPopNoAtomLeakAcrossClones(t *testing.T) {
 	if got := s.NumAtoms(); got != atoms {
 		t.Fatalf("NumAtoms grew across repeated Minimize: %d -> %d", atoms, got)
 	}
-	// A replica cloned after the probes must not carry leaked watch state.
-	c := s.Clone()
-	if got := c.NumAtoms(); got != s.NumAtoms() {
-		t.Fatalf("clone NumAtoms = %d, want %d", got, s.NumAtoms())
-	}
-	for id, w := range c.watch {
+	// The probes must not leave watch entries for retracted clauses behind.
+	for id, w := range s.watch {
 		for _, ci := range w {
-			if ci >= len(c.clauses) {
-				t.Fatalf("clone watch[%d] references retracted clause %d (have %d clauses)", id, ci, len(c.clauses))
+			if ci >= len(s.clauses) {
+				t.Fatalf("watch[%d] references retracted clause %d (have %d clauses)", id, ci, len(s.clauses))
 			}
 		}
 	}
-	if _, err := c.Solve(); err != nil {
-		t.Fatalf("clone Solve after Minimize probes: %v", err)
+	if _, err := s.Solve(); err != nil {
+		t.Fatalf("Solve after Minimize probes: %v", err)
 	}
 }
 

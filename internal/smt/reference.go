@@ -158,22 +158,8 @@ func (s *Solver) propagateRoot() bool {
 }
 
 // findOpenClause returns the index of a clause with no true literal, or -1.
-// The scan starts at ScanOffset (mod the clause count) so diversified
-// replicas explore the clause set in rotated orders.
 func (s *Solver) findOpenClause() int {
-	n := len(s.clauses)
-	if n == 0 {
-		return -1
-	}
-	start := 0
-	if s.ScanOffset > 0 {
-		start = s.ScanOffset % n
-	}
-	for k := 0; k < n; k++ {
-		ci := start + k
-		if ci >= n {
-			ci -= n
-		}
+	for ci := range s.clauses {
 		if s.numTrue[ci] == 0 {
 			return ci
 		}
@@ -183,10 +169,6 @@ func (s *Solver) findOpenClause() int {
 
 // pickLiteral chooses an unassigned literal of the clause, preferring one
 // already satisfied by the current potentials (a free theory lookahead).
-// With InvertPhase set, the fallback picks the last unassigned literal
-// instead of the first — a second diversification axis that changes the
-// search order without affecting completeness (conflict resolution still
-// flips every decision).
 func (s *Solver) pickLiteral(ci int) (Lit, int, bool) {
 	cl := &s.clauses[ci]
 	fallback := -1
@@ -194,7 +176,7 @@ func (s *Solver) pickLiteral(ci int) (Lit, int, bool) {
 		if s.val[id] != 0 {
 			continue
 		}
-		if fallback < 0 || s.InvertPhase {
+		if fallback < 0 {
 			fallback = i
 		}
 		l := cl.lits[i]

@@ -1,6 +1,7 @@
 package smt
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync/atomic"
@@ -13,8 +14,8 @@ var (
 	ErrUnsat = errors.New("unsatisfiable")
 	// ErrBudget means the search exceeded MaxDecisions or Deadline.
 	ErrBudget = errors.New("solver budget exhausted")
-	// ErrCanceled means the search was stopped externally (Stop flag or a
-	// portfolio sibling finishing first).
+	// ErrCanceled means the search was stopped externally (the Stop flag,
+	// which SolveContext sets when its context is done).
 	ErrCanceled = errors.New("solve canceled")
 )
 
@@ -133,20 +134,9 @@ type Solver struct {
 	// Deadline aborts the search when passed; zero means no deadline.
 	Deadline time.Time
 	// Stop, when non-nil, is polled during the search; once it reads true
-	// the search aborts with ErrCanceled. SolvePortfolio shares one flag
-	// across all replicas so the first definitive answer cancels the rest.
+	// the search aborts with ErrCanceled. SolveContext installs one for the
+	// duration of a call.
 	Stop *atomic.Bool
-	// ScanOffset diversifies deterministic tie-breaking: in CDCL mode it
-	// rotates the VSIDS tie-break order, in reference mode it rotates the
-	// open-clause scan. Zero keeps the natural order.
-	ScanOffset int
-	// InvertPhase flips the default branching phase (the theory-lookahead
-	// polarity in CDCL mode, the fallback literal pick in reference mode).
-	// A cheap diversification axis for portfolio replicas.
-	InvertPhase bool
-	// RestartBase scales the Luby restart schedule (conflicts before the
-	// first restart); zero means the default. Reference mode ignores it.
-	RestartBase int
 	// TheoryProp enables exhaustive difference-logic theory propagation
 	// (implied-atom detection) in CDCL mode. The pass is sound but costs
 	// two Dijkstra sweeps plus an all-atoms scan per asserted edge, which
@@ -274,8 +264,7 @@ func (s *Solver) Solves() int64 { return s.solves }
 //
 // Clause storage comes from two append-only arenas so that millions of
 // short clauses cost two amortized appends instead of two allocations
-// each. The arenas are never rewound (Pop only drops the clause headers),
-// so Clone may share them safely: committed regions are write-once.
+// each. The arenas are never rewound (Pop only drops the clause headers).
 func (s *Solver) AddClause(lits ...Lit) {
 	ci := len(s.clauses)
 	la := len(s.litArena)
@@ -315,9 +304,8 @@ func (s *Solver) Push() {
 // atoms interned by them. Retracting the atoms matters for long-lived
 // solvers: Minimize probes a fresh bound atom per Push/Pop round, and
 // without retraction those atoms (and their watch lists and value slots)
-// accumulated forever — and were then replicated into every portfolio
-// clone. Search state referencing a retracted atom is cleared; the next
-// Solve restarts from scratch anyway.
+// accumulated forever. Search state referencing a retracted atom is
+// cleared; the next Solve restarts from scratch anyway.
 //
 // Learned clauses survive the Pop when they remain sound: theory lemmas
 // (derived from difference-logic reasoning alone) are valid regardless of
@@ -376,6 +364,24 @@ func (s *Solver) Solve() (*Model, error) {
 		return s.solveReference()
 	}
 	return s.solveCDCL()
+}
+
+// SolveContext runs one Solve that is canceled when ctx is done; it is the
+// entry the scheduler's backends call.
+func (s *Solver) SolveContext(ctx context.Context) (*Model, error) {
+	if ctx == nil || ctx.Done() == nil {
+		return s.Solve()
+	}
+	prevStop := s.Stop
+	stop := &atomic.Bool{}
+	s.Stop = stop
+	defer func() { s.Stop = prevStop }()
+	defer context.AfterFunc(ctx, func() { stop.Store(true) })()
+	m, err := s.Solve()
+	if errors.Is(err, ErrCanceled) && ctx.Err() != nil {
+		return nil, fmt.Errorf("%w: %v", ErrCanceled, ctx.Err())
+	}
+	return m, err
 }
 
 func (s *Solver) resetCommon() {

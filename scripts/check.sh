@@ -12,7 +12,8 @@
 # /api/trend documents and drain cleanly on SIGTERM), and a
 # short fuzz smoke over the corpus seeds of every fuzz target. Each bench
 # refresh appends its headline wall time to bench/history.jsonl so
-# regressions are visible across runs.
+# regressions are visible across runs. The last step prints the non-test Go
+# line count.
 #
 # Usage: ./scripts/check.sh            (from the repository root)
 #        FUZZTIME=10s ./scripts/check.sh
@@ -34,31 +35,26 @@ echo "==> go test -race ./..."
 go test -race ./...
 
 echo "==> go test under GOMAXPROCS=1,2,8 (CLI, scheduler, experiments, simulators)"
-# Worker fan-outs, tracer lanes, the decomposition pool and the sharded
-# engine's default shard count all size themselves from GOMAXPROCS; a test
-# that only holds at the width of the machine it was written on has to fail
-# here, not on the next host.
+# The experiment-cell worker pool and the tracer lanes size themselves from
+# GOMAXPROCS; a test that only holds at the width of the machine it was
+# written on has to fail here, not on the next host.
 for procs in 1 2 8; do
     GOMAXPROCS="$procs" go test -count=1 ./cmd/... ./internal/core/... ./internal/experiments/... \
-        ./internal/sim/... ./internal/psim/...
+        ./internal/sim/...
 done
 
 echo "==> go test -race ./internal/smt/... (solver core, explicit)"
 go test -race -count=1 ./internal/smt/...
-
-echo "==> go test -race ./internal/psim/... (parallel engine, explicit)"
-go test -race -count=1 ./internal/psim/...
 
 echo "==> go test -race ./internal/dash/... (dashboard, explicit)"
 # The dashboard suite includes goroutine-leak and SSE-drain checks that
 # must hold under the race detector.
 go test -race -count=1 ./internal/dash/...
 
-echo "==> go test -race decomposition suite (conflict-graph scheduling + route cache, explicit)"
-# Per-component solves run concurrently and the route cache promotes
-# overflow entries under concurrent readers; both must hold under the race
-# detector every run.
-go test -race -count=1 -run 'TestDecompose|TestConflictComponents' ./internal/core/
+echo "==> go test -race route cache (explicit)"
+# Experiment cells running in parallel share one network, and the route
+# cache promotes overflow entries under concurrent readers; that must hold
+# under the race detector every run.
 go test -race -count=1 -run 'TestRouteCacheConcurrentReaders' ./internal/model/
 
 echo "==> benchmark smoke (-benchtime=1x)"
@@ -71,14 +67,6 @@ go build -o "$BENCHDIR/etsn-bench" ./cmd/etsn-bench
 "$BENCHDIR/etsn-bench" -experiment headline -duration 300ms \
     -bench-dir "$BENCHDIR" -bench-name smoke >/dev/null
 "$BENCHDIR/etsn-bench" -check-bench "$BENCHDIR/BENCH_smoke.json"
-
-echo "==> sharded-engine smoke (headline under -engine shard -shards 4)"
-# The parallel engine must run the headline experiment end to end; its
-# per-stream tables are identical to the sequential engine's by design.
-"$BENCHDIR/etsn-bench" -experiment headline -duration 300ms \
-    -engine shard -shards 4 \
-    -bench-dir "$BENCHDIR" -bench-name smoke-shard >/dev/null
-"$BENCHDIR/etsn-bench" -check-bench "$BENCHDIR/BENCH_smoke-shard.json"
 
 echo "==> trace round trip (etsn-sim -attrib | etsn-trace vs golden)"
 go build -o "$BENCHDIR/etsn-sim" ./cmd/etsn-sim
@@ -103,12 +91,11 @@ mkdir -p bench
 # committed instance class, and its wall times accumulate in the history.
 "$BENCHDIR/etsn-bench" -experiment smt \
     -bench-dir bench -history bench/history.jsonl >/dev/null
-# The scale run sweeps the sharded engine over 1/2/4/8 shards on the same
-# scenario (BENCH_psim.json, gated on byte-identical results) and then the
-# decomposition corpus over the tree/mesh cell grid (the scale section of
-# BENCH_scale.json, gated on the monolithic wall at the largest >=2k-stream
-# point staying within 2.6x the wall at half that size, and on plan
-# identity throughout).
+# The scale run simulates the tree scenario and then solves the cellular
+# corpus over the tree/mesh cell grid (the scale section of
+# BENCH_scale.json, gated on every plan verifying and on the solve wall at
+# the largest >=2k-stream point staying within 2.6x the wall at half that
+# size).
 "$BENCHDIR/etsn-bench" -experiment scale -duration 1s \
     -bench-dir bench -history bench/history.jsonl >/dev/null
 # The backends run solves every backend of the default cascade standalone
@@ -121,7 +108,6 @@ mkdir -p bench
 "$BENCHDIR/etsn-bench" -check-bench bench/BENCH_fig11.json
 "$BENCHDIR/etsn-bench" -check-bench bench/BENCH_attrib.json
 "$BENCHDIR/etsn-bench" -check-bench bench/BENCH_smt.json
-"$BENCHDIR/etsn-bench" -check-bench bench/BENCH_psim.json
 "$BENCHDIR/etsn-bench" -check-bench bench/BENCH_backends.json
 "$BENCHDIR/etsn-bench" -check-bench bench/BENCH_scale.json
 
@@ -152,11 +138,11 @@ go test ./internal/smt/ -run=^$ -fuzz=FuzzSolve -fuzztime="$FUZZTIME"
 echo "==> differential fuzz smoke (CDCL vs reference, ${DIFF_FUZZTIME})"
 go test ./internal/smt/ -run=^$ -fuzz=FuzzDifferential -fuzztime="$DIFF_FUZZTIME"
 
-echo "==> differential fuzz smoke (sharded engine vs sequential oracle, ${DIFF_FUZZTIME})"
-go test ./internal/psim/ -run=^$ -fuzz=FuzzPsimDifferential -fuzztime="$DIFF_FUZZTIME"
-
 echo "==> daemon decoder fuzz smoke (${DIFF_FUZZTIME})"
 go test ./internal/service/ -run=^$ -fuzz=FuzzDecodeSubmit -fuzztime="$DIFF_FUZZTIME"
 go test ./internal/service/ -run=^$ -fuzz=FuzzDecodeAdmit -fuzztime="$FUZZTIME"
+
+echo "==> non-test Go lines (the figure ROADMAP.md tracks)"
+find . -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
 
 echo "==> OK"
