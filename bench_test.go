@@ -420,29 +420,6 @@ func BenchmarkSMTSolve(b *testing.B) {
 	}
 }
 
-// BenchmarkExpandECTCached measures memoized expansion: after the first
-// miss, every scheduler requesting the same ECT gets deep copies of the
-// cached template instead of recomputing the possibility lattice. Compare
-// against BenchmarkExpandECT (cold) for the hot-path saving.
-func BenchmarkExpandECTCached(b *testing.B) {
-	scen, err := experiments.NewTestbedScenario(0.25, experiments.DefaultSeed)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ect := scen.ECT[0]
-	cache := core.NewExpandCache()
-	if _, err := cache.Expand(ect, 128); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ps, err := cache.Expand(ect, 128)
-		if err != nil || len(ps) != 128 {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkSimEventRate reports the simulator's raw event throughput on a
 // tiny network, in processed messages per op.
 func BenchmarkSimEventRate(b *testing.B) {

@@ -14,7 +14,6 @@
 //	etsn-bench [-experiment all|headline|fig11|fig12|fig14|fig15|fig16]
 //	           [-duration 4s] [-seed 60802] [-parallel N]
 //	           [-backend auto|placer|greedy|smt|smt-incremental|cascade]
-//	           [-backend-compare]
 //	           [-compare-sequential] [-attrib]
 //	           [-metrics out.prom] [-trace-phases out.trace.json]
 //	           [-pprof cpu=FILE|mem=FILE|HOST:PORT]
@@ -56,8 +55,6 @@
 // (default auto: placer with exact-SMT fallback; "cascade" runs the
 // backends one at a time in priority order and stops at the first verified
 // plan).
-// -backend-compare appends a per-backend comparison section (schedulable
-// ratio and solve wall over the load grid) to the fig11 and fig14 tables.
 // The "backends" experiment benchmarks every backend standalone plus the
 // cascade over the fig11 load grid and emits BENCH_backends.json, gated by
 // -check-bench (see bench/BENCH_backends.json).
@@ -96,9 +93,6 @@ func run(args []string, w io.Writer) error {
 	experiment := fs.String("experiment", "all", "experiment to run: all, headline, fig11, fig12, fig14, fig15, fig16, fourway, frer, scale, sync, ablation, faults, attrib, smt, backends")
 	duration := fs.Duration("duration", experiments.DefaultDuration, "simulated time per run")
 	seed := fs.Int64("seed", experiments.DefaultSeed, "random seed for event arrivals")
-	metrics := fs.String("metrics", "", "write run metrics to this file (.json for JSON, else Prometheus text)")
-	tracePhases := fs.String("trace-phases", "", "write a Chrome trace_event JSON file of planner/simulation phases")
-	pprofSpec := fs.String("pprof", "", "profiling: cpu=FILE, mem=FILE, or HOST:PORT for a live pprof server")
 	benchDir := fs.String("bench-dir", ".", "directory for BENCH_<experiment>.json artifacts")
 	benchName := fs.String("bench-name", "", "override the artifact name (BENCH_<name>.json)")
 	checkBench := fs.String("check-bench", "", "validate an existing bench artifact and exit")
@@ -107,12 +101,11 @@ func run(args []string, w io.Writer) error {
 	attribOn := fs.Bool("attrib", false, "enable per-frame latency attribution in every simulation")
 	history := fs.String("history", "", "append one {experiment, wall_ms, parallel, seed} JSON line per run to this file")
 	backendName := fs.String("backend", "", "scheduling backend for every plan: auto (default), placer, greedy, smt, smt-incremental, or cascade")
-	backendCompare := fs.Bool("backend-compare", false, "append a per-backend comparison section to the fig11/fig14 tables (walls are not byte-stable)")
 	trend := fs.String("trend", "", "analyze a wall-time history file (bench/history.jsonl) for regressions and exit")
 	trendThreshold := fs.Float64("trend-threshold", 0.10, "flag a run whose wall time exceeds its rolling baseline by more than this fraction")
 	trendStrict := fs.Bool("trend-strict", false, "exit with code 2 when -trend flags a regression")
 	trendJSON := fs.Bool("json", false, "with -trend: emit the machine-readable trend document instead of the human table")
-	dashAddr := fs.String("dash", "", "serve the live dashboard on this address (e.g. :8429) while experiments run; stays up until SIGINT/SIGTERM")
+	cli := dash.NewCLI("etsn-bench", fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -139,48 +132,24 @@ func run(args []string, w io.Writer) error {
 		}
 		return nil
 	}
-	if *pprofSpec != "" {
-		stop, err := obs.StartPprof(*pprofSpec)
-		if err != nil {
-			return err
-		}
-		defer func() { _ = stop() }()
-	}
 	backend, err := core.ParseBackend(*backendName)
 	if err != nil {
 		return err
 	}
 	opts := experiments.RunOptions{Duration: *duration, Seed: *seed, Parallel: *parallel,
-		Attribution: *attribOn, Backend: backend, BackendCompare: *backendCompare}
+		Attribution: *attribOn, Backend: backend}
 
-	// -dash: serve the live dashboard for the whole run. Each experiment
+	// -dash serves the live dashboard for the whole run. Each experiment
 	// publishes its fresh registry/tracer as it starts (runOne), so SSE
 	// clients watch the current experiment; the trend chart reads the
 	// same history file -history appends to.
-	var dashRunner *dash.Runner
-	if *dashAddr != "" {
-		histPath := *history
-		if histPath == "" {
-			histPath = "bench/history.jsonl"
-		}
-		dashRunner, err = dash.Start(*dashAddr, dash.NewServer(dash.Options{
-			HistoryPath: histPath, TrendThreshold: *trendThreshold}))
-		if err != nil {
-			return err
-		}
-		defer func() { _ = dashRunner.Shutdown(2 * time.Second) }()
-		fmt.Fprintf(os.Stderr, "etsn-bench: dashboard listening on http://%s\n", dashRunner.Addr())
+	histPath := *history
+	if histPath == "" {
+		histPath = "bench/history.jsonl"
 	}
-	// waitDash keeps the dashboard up after a successful run until
-	// SIGINT/SIGTERM, then drains it.
-	waitDash := func() error {
-		if dashRunner == nil {
-			return nil
-		}
-		fmt.Fprintf(os.Stderr, "etsn-bench: experiments done; dashboard on http://%s until SIGINT/SIGTERM\n",
-			dashRunner.Addr())
-		dashRunner.WaitSignal()
-		return dashRunner.Shutdown(5 * time.Second)
+	defer cli.End()
+	if err := cli.Begin(dash.Options{HistoryPath: histPath, TrendThreshold: *trendThreshold}); err != nil {
+		return err
 	}
 
 	type runner struct {
@@ -208,10 +177,6 @@ func run(args []string, w io.Writer) error {
 				return err
 			}
 			r.WriteTable(w)
-			if len(r.Backends) > 0 {
-				fmt.Fprintln(w)
-				r.WriteBackendTable(w)
-			}
 			return nil
 		}},
 		{"fig12", func(o experiments.RunOptions, w io.Writer) error {
@@ -228,10 +193,6 @@ func run(args []string, w io.Writer) error {
 				return err
 			}
 			r.WriteTable(w)
-			if len(r.Backends) > 0 {
-				fmt.Fprintln(w)
-				r.WriteBackendTable(w)
-			}
 			return nil
 		}},
 		{"fig15", func(o experiments.RunOptions, w io.Writer) error {
@@ -359,14 +320,12 @@ func run(args []string, w io.Writer) error {
 	// artifact reflects that run alone. The -metrics and -trace-phases
 	// files carry the last experiment executed (the only one unless
 	// -experiment all).
-	var lastReg *obs.Registry
-	var lastTracer *obs.Tracer
 	runOne := func(r runner) error {
 		o := opts
 		o.Obs = obs.NewRegistry()
 		o.Phases = obs.NewTracer()
-		if dashRunner != nil {
-			dashRunner.Server.Publish(o.Obs, o.Phases)
+		if cli.Runner != nil {
+			cli.Runner.Server.Publish(o.Obs, o.Phases)
 		}
 		smtClasses = nil
 		backendBench = nil
@@ -376,7 +335,7 @@ func run(args []string, w io.Writer) error {
 			return err
 		}
 		wall := time.Since(start)
-		lastReg, lastTracer = o.Obs, o.Phases
+		cli.Registry, cli.Tracer = o.Obs, o.Phases
 		name := *benchName
 		if name == "" {
 			name = r.name
@@ -406,20 +365,6 @@ func run(args []string, w io.Writer) error {
 		}
 		return nil
 	}
-	exports := func() error {
-		if *metrics != "" && lastReg != nil {
-			if err := lastReg.WriteMetricsFile(*metrics); err != nil {
-				return err
-			}
-		}
-		if *tracePhases != "" && lastTracer != nil {
-			if err := lastTracer.WriteChromeTraceFile(*tracePhases); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
 	if *experiment == "all" {
 		for i, r := range all {
 			if i > 0 {
@@ -433,20 +378,14 @@ func run(args []string, w io.Writer) error {
 			// -parallel settings (and machines).
 			fmt.Fprintf(os.Stderr, "[%s completed in %v]\n", r.name, time.Since(start).Round(time.Millisecond))
 		}
-		if err := exports(); err != nil {
-			return err
-		}
-		return waitDash()
+		return cli.Finish()
 	}
 	for _, r := range all {
 		if r.name == *experiment {
 			if err := runOne(r); err != nil {
 				return err
 			}
-			if err := exports(); err != nil {
-				return err
-			}
-			return waitDash()
+			return cli.Finish()
 		}
 	}
 	return fmt.Errorf("unknown experiment %q", *experiment)

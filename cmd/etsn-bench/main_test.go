@@ -209,7 +209,7 @@ func TestRunBadFlag(t *testing.T) {
 // decomposition are unknown-flag errors; -parallel, the cell worker pool, is
 // a different thing and stays.
 func TestRemovedFlagsRejected(t *testing.T) {
-	for _, flag := range [][]string{{"-engine", "shard"}, {"-shards", "4"}, {"-decompose"}} {
+	for _, flag := range [][]string{{"-engine", "shard"}, {"-shards", "4"}, {"-decompose"}, {"-backend-compare"}} {
 		var buf bytes.Buffer
 		err := run(append([]string{"-experiment", "headline"}, flag...), &buf)
 		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {

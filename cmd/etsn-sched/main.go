@@ -25,6 +25,9 @@
 // -bounds FILE writes the analytic per-stream worst-case latencies as
 // JSON ({"stream": nanoseconds}), the same bounds the simulator scores
 // conformance against (sched.Plan.Bounds).
+//
+// Exit codes (service.Classify): 1 internal, 2 invalid input (a bad
+// configuration or a usage error), 3 infeasible, 4 solver timeout.
 package main
 
 import (
@@ -32,12 +35,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	"etsn/internal/core"
 	"etsn/internal/dash"
 	"etsn/internal/gcl"
-	"etsn/internal/obs"
 	"etsn/internal/qcc"
 	"etsn/internal/sched"
 	"etsn/internal/service"
@@ -60,25 +61,19 @@ func run(args []string) error {
 	quiet := fs.Bool("quiet", false, "suppress the human-readable summary on stderr")
 	gclText := fs.Bool("gcl", false, "print the gate programs as admin-style tables instead of JSON")
 	verbose := fs.Bool("v", false, "print solver effort statistics on stderr")
-	metrics := fs.String("metrics", "", "write scheduler metrics to this file (.json for JSON, else Prometheus text)")
-	tracePhases := fs.String("trace-phases", "", "write a Chrome trace_event JSON file of planner phases")
-	pprofSpec := fs.String("pprof", "", "profiling: cpu=FILE, mem=FILE, or HOST:PORT for a live pprof server")
 	backend := fs.String("backend", "", "scheduling backend (overrides the config): auto, placer, greedy, smt, smt-incremental, or cascade")
 	boundsPath := fs.String("bounds", "", "write the analytic per-stream worst-case bounds as JSON to this file")
-	dashAddr := fs.String("dash", "", "serve the live dashboard on this address (e.g. :8080; keeps serving after the run until SIGINT/SIGTERM)")
+	cli := dash.NewCLI("etsn-sched", fs)
 	if err := fs.Parse(args); err != nil {
-		return err
+		return fmt.Errorf("%w: %v", qcc.ErrBadConfig, err)
 	}
 	if *configPath == "" {
 		fs.Usage()
-		return fmt.Errorf("missing -config")
+		return fmt.Errorf("%w: missing -config", qcc.ErrBadConfig)
 	}
-	if *pprofSpec != "" {
-		stop, err := obs.StartPprof(*pprofSpec)
-		if err != nil {
-			return err
-		}
-		defer func() { _ = stop() }()
+	defer cli.End()
+	if err := cli.Begin(dash.Options{}); err != nil {
+		return err
 	}
 	f, err := os.Open(*configPath)
 	if err != nil {
@@ -95,35 +90,10 @@ func run(args []string) error {
 		}
 		cfg.Options.Backend = *backend
 	}
-	if *metrics != "" || *verbose || *dashAddr != "" {
-		cfg.Obs = obs.NewRegistry()
-	}
-	if *tracePhases != "" || *dashAddr != "" {
-		cfg.Phases = obs.NewTracer()
-	}
-	var dashRunner *dash.Runner
-	if *dashAddr != "" {
-		srv := dash.NewServer(dash.Options{Registry: cfg.Obs, Tracer: cfg.Phases})
-		dashRunner, err = dash.Start(*dashAddr, srv)
-		if err != nil {
-			return fmt.Errorf("-dash: %w", err)
-		}
-		defer func() { _ = dashRunner.Shutdown(2 * time.Second) }()
-		fmt.Fprintf(os.Stderr, "etsn-sched: dashboard listening on http://%s\n", dashRunner.Addr())
-	}
+	cfg.Obs, cfg.Phases = cli.Registry, cli.Tracer
 	dep, err := qcc.Compute(cfg)
 	if err != nil {
 		return err
-	}
-	if *metrics != "" {
-		if err := cfg.Obs.WriteMetricsFile(*metrics); err != nil {
-			return err
-		}
-	}
-	if *tracePhases != "" {
-		if err := cfg.Phases.WriteChromeTraceFile(*tracePhases); err != nil {
-			return err
-		}
 	}
 	if *boundsPath != "" {
 		if err := writeBounds(*boundsPath, dep); err != nil {
@@ -147,23 +117,10 @@ func run(args []string) error {
 	}
 	if *gclText {
 		gcl.WriteAllText(out, dep.GCLs)
-		return waitDash(dashRunner)
-	}
-	if err := dep.WriteJSON(out); err != nil {
+	} else if err := dep.WriteJSON(out); err != nil {
 		return err
 	}
-	return waitDash(dashRunner)
-}
-
-// waitDash keeps the -dash server alive after the deployment is written,
-// until SIGINT/SIGTERM, then drains it gracefully.
-func waitDash(r *dash.Runner) error {
-	if r == nil {
-		return nil
-	}
-	fmt.Fprintf(os.Stderr, "etsn-sched: deployment written; dashboard serving on http://%s (Ctrl-C to exit)\n", r.Addr())
-	r.WaitSignal()
-	return r.Shutdown(5 * time.Second)
+	return cli.Finish()
 }
 
 // writeBounds exports the analytic per-stream worst cases as a flat

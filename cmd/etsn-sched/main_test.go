@@ -209,6 +209,18 @@ func TestExitCodes(t *testing.T) {
 	if got := service.Classify(err).ExitCode(); got != 1 {
 		t.Fatalf("missing file: exit %d (%v), want 1", got, err)
 	}
+
+	// Usage errors are invalid input: exit 2.
+	for _, args := range [][]string{
+		{"-quiet"}, // missing -config
+		{"-config", writeConfig(t), "-nope"},
+		{"-config", writeConfig(t), "-backend", "anneal"},
+	} {
+		err := run(args)
+		if got := service.Classify(err).ExitCode(); got != 2 {
+			t.Errorf("%v: exit %d (%v), want 2", args, got, err)
+		}
+	}
 }
 
 // TestExitCodeTimeout pins exit 4 for budget exhaustion exactly as Compute

@@ -19,7 +19,15 @@
 // options.backend. It only affects -method etsn.
 //
 // Exit codes are etsn-sched's and the daemon's (service.Classify):
-// 1 internal, 2 invalid input, 3 infeasible, 4 solver timeout.
+// 1 internal, 2 invalid input (a bad configuration or a usage error,
+// rejected before anything is planned or served), 3 infeasible, 4 solver
+// timeout.
+//
+// Of the configuration's "options" keys etsn-sim honours n_prob, spread,
+// backend and timeout_ms. It plans through sched.Problem,
+// the evaluation setup all three methods share, which always uses the
+// shared-reserve relaxation and the configured paths: shared_reserves,
+// minimize_ect and routing are ignored here (etsn-sched honours them).
 //
 // -dash serves the live observability dashboard (internal/dash) on the
 // given address: the embedded page at /, JSON snapshots at /api/metrics,
@@ -74,54 +82,33 @@ func run(args []string) error {
 	failLink := fs.String("fail-link", "", "inject a link failure on this link (\"from->to\", both directions)")
 	failAt := fs.Duration("fail-at", time.Second, "instant the injected link failure occurs")
 	healAfter := fs.Duration("heal-after", 0, "bring the failed link back up after this long (0 = stays down)")
-	metrics := fs.String("metrics", "", "write planner+simulator metrics to this file (.json for JSON, else Prometheus text)")
-	tracePhases := fs.String("trace-phases", "", "write a Chrome trace_event JSON file of planner/simulation phases")
-	pprofSpec := fs.String("pprof", "", "profiling: cpu=FILE, mem=FILE, or HOST:PORT for a live pprof server")
 	backend := fs.String("backend", "", "E-TSN scheduling backend (overrides the config): auto, placer, greedy, smt, smt-incremental, or cascade")
 	attrib := fs.Bool("attrib", false, "attribute each frame's latency to queue/gate/preempt/tx/prop phases and score bound conformance")
 	traceHops := fs.Bool("trace-hops", false, "record per-hop completion latencies in the results")
 	traceLanes := fs.String("trace-lanes", "", "write attributed frames as a Chrome trace_event lane file (requires -attrib)")
-	dashAddr := fs.String("dash", "", "serve the live dashboard on this address (e.g. :8080; keeps serving after the run until SIGINT/SIGTERM)")
 	dashHistory := fs.String("dash-history", "", "history.jsonl file backing the dashboard's /api/trend (requires -dash)")
+	cli := dash.NewCLI("etsn-sim", fs)
 	if err := fs.Parse(args); err != nil {
-		return err
+		return fmt.Errorf("%w: %v", qcc.ErrBadConfig, err)
 	}
-	if *configPath == "" {
+	switch {
+	case *configPath == "":
 		fs.Usage()
-		return fmt.Errorf("missing -config")
-	}
-	if *pprofSpec != "" {
-		stop, err := obs.StartPprof(*pprofSpec)
-		if err != nil {
-			return err
-		}
-		defer func() { _ = stop() }()
-	}
-	var reg *obs.Registry
-	var phases *obs.Tracer
-	if *metrics != "" || *dashAddr != "" {
-		reg = obs.NewRegistry()
-	}
-	if *tracePhases != "" || *dashAddr != "" {
-		phases = obs.NewTracer()
-	}
-	var dashRunner *dash.Runner
-	if *dashAddr != "" {
-		srv := dash.NewServer(dash.Options{Registry: reg, Tracer: phases, HistoryPath: *dashHistory})
-		var err error
-		dashRunner, err = dash.Start(*dashAddr, srv)
-		if err != nil {
-			return fmt.Errorf("-dash: %w", err)
-		}
-		defer func() { _ = dashRunner.Shutdown(2 * time.Second) }()
-		fmt.Fprintf(os.Stderr, "etsn-sim: dashboard listening on http://%s\n", dashRunner.Addr())
-	} else if *dashHistory != "" {
-		return fmt.Errorf("-dash-history requires -dash")
+		return fmt.Errorf("%w: missing -config", qcc.ErrBadConfig)
+	case *traceLanes != "" && !*attrib:
+		return fmt.Errorf("%w: -trace-lanes requires -attrib", qcc.ErrBadConfig)
+	case *dashHistory != "" && !cli.Dash():
+		return fmt.Errorf("%w: -dash-history requires -dash", qcc.ErrBadConfig)
 	}
 	method, err := parseMethod(*methodName)
 	if err != nil {
 		return err
 	}
+	defer cli.End()
+	if err := cli.Begin(dash.Options{HistoryPath: *dashHistory}); err != nil {
+		return err
+	}
+	reg, phases := cli.Registry, cli.Tracer
 	f, err := os.Open(*configPath)
 	if err != nil {
 		return err
@@ -156,9 +143,6 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	if *traceLanes != "" && !*attrib {
-		return fmt.Errorf("-trace-lanes requires -attrib")
-	}
 	simOpts := sched.SimOptions{ECT: p.ECT, Duration: *duration, Seed: *seed, Obs: reg,
 		Attribution: *attrib, TraceHops: *traceHops}
 	if *failLink != "" {
@@ -188,16 +172,6 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	if *metrics != "" {
-		if err := reg.WriteMetricsFile(*metrics); err != nil {
-			return err
-		}
-	}
-	if *tracePhases != "" {
-		if err := phases.WriteChromeTraceFile(*tracePhases); err != nil {
-			return err
-		}
-	}
 	if *traceLanes != "" {
 		lf, err := os.Create(*traceLanes)
 		if err != nil {
@@ -211,19 +185,8 @@ func run(args []string) error {
 			return err
 		}
 	}
-	if dashRunner != nil && *attrib {
-		dashRunner.Server.SetLanes(results.FrameLanes)
-	}
-	// waitDash keeps the dashboard serving after the run's output is
-	// printed, until the operator sends SIGINT/SIGTERM; the drain is
-	// graceful (SSE clients get a bye frame) and the exit code is 0.
-	waitDash := func() error {
-		if dashRunner == nil {
-			return nil
-		}
-		fmt.Fprintf(os.Stderr, "etsn-sim: run complete; dashboard serving on http://%s (Ctrl-C to exit)\n", dashRunner.Addr())
-		dashRunner.WaitSignal()
-		return dashRunner.Shutdown(5 * time.Second)
+	if cli.Runner != nil && *attrib {
+		cli.Runner.Server.SetLanes(results.FrameLanes)
 	}
 
 	type row struct {
@@ -286,7 +249,7 @@ func run(args []string) error {
 		if err := enc.Encode(rows); err != nil {
 			return err
 		}
-		return waitDash()
+		return cli.Finish()
 	}
 	fmt.Printf("method %s, %v simulated, seed %d\n", method, *duration, *seed)
 	fmt.Printf("%-14s %-5s %8s %12s %12s %12s %6s %12s %12s %6s %-8s\n",
@@ -307,7 +270,7 @@ func run(args []string) error {
 			r.Stream, r.Kind, r.Count, r.MeanUs, r.WorstUs, r.JitterUs, r.Drops,
 			bound, slack, miss, phase)
 	}
-	return waitDash()
+	return cli.Finish()
 }
 
 func parseMethod(name string) (sched.Method, error) {

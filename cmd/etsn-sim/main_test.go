@@ -215,6 +215,13 @@ func TestExitCodes(t *testing.T) {
 		{"malformed config", []string{"-config", writeTo(`{"network":`)}, 2},
 		{"infeasible config", []string{"-config", writeTo(infeasible), "-duration", "20ms"}, 3},
 		{"missing file", []string{"-config", "/does/not/exist.json"}, 1},
+		// Usage errors are invalid input, and flag combinations are
+		// rejected before anything is planned: the infeasible
+		// configuration never gets as far as exit 3.
+		{"missing -config", nil, 2},
+		{"unknown flag", []string{"-config", writeConfig(t), "-nope"}, 2},
+		{"-trace-lanes without -attrib", []string{"-config", writeTo(infeasible), "-trace-lanes", os.DevNull}, 2},
+		{"-dash-history without -dash", []string{"-config", writeTo(infeasible), "-dash-history", os.DevNull}, 2},
 	} {
 		err := run(tc.args)
 		if got := service.Classify(err).ExitCode(); got != tc.want {

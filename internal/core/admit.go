@@ -132,6 +132,13 @@ func (inst *instance) hopOn(si int, lid model.LinkID) *hop {
 	return nil
 }
 
+// frameKey identifies one frame of a schedule.
+type frameKey struct {
+	stream model.StreamID
+	link   model.LinkID
+	index  int
+}
+
 // SlotsUnchanged reports whether every slot of prev appears identically in
 // next (the stability property online admission guarantees).
 func SlotsUnchanged(prev, next *model.Schedule) bool {

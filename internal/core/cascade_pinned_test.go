@@ -39,6 +39,71 @@ func lineProblem(t *testing.T) *core.Problem {
 	return p
 }
 
+// tightProblem is fifteen streams into D1 and D2 of the random-scenario
+// network with end-to-end budgets down to 0.55 periods, minimized from draw
+// 789 of the PR 17 dominance sweep (DESIGN.md §15). Only the ALAP placer
+// closes it in bounded time: first-fit starts s23 at the earliest free slot
+// of its uncontended first link and finds the congested last link free only
+// 5364 us later, past the 4440 us budget, while ALAP packs every hop back
+// from the deadline.
+func tightProblem(t *testing.T) *core.Problem {
+	n, _ := core.RandomProblem(t, 1)
+	p := &core.Problem{Network: n}
+	for _, s := range []struct {
+		id       model.StreamID
+		src, dst model.NodeID
+		periodMs int
+		e2eUs    int
+		frames   int
+		share    bool
+	}{
+		{"s00", "D4", "D1", 8, 4552, 3, false}, {"s03", "D4", "D2", 4, 2778, 3, false},
+		{"s04", "D4", "D1", 4, 5496, 1, false}, {"s06", "D3", "D1", 4, 4949, 3, false},
+		{"s11", "D3", "D1", 4, 3686, 2, false}, {"s13", "D3", "D1", 4, 5262, 2, false},
+		{"s14", "D4", "D2", 4, 2372, 1, true}, {"s15", "D3", "D1", 4, 6023, 3, true},
+		{"s19", "D3", "D1", 4, 6127, 2, false}, {"s23", "D4", "D1", 8, 4440, 2, false},
+		{"s24", "D3", "D1", 4, 7032, 3, false}, {"s28", "D3", "D1", 4, 5278, 1, true},
+		{"s36", "D3", "D1", 4, 4423, 1, false}, {"s42", "D3", "D2", 8, 7391, 3, true},
+		{"s43", "D4", "D2", 8, 8420, 3, true},
+	} {
+		path, err := n.ShortestPath(s.src, s.dst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.TCT = append(p.TCT, &model.Stream{ID: s.id, Path: path,
+			Period: time.Duration(s.periodMs) * time.Millisecond, E2E: time.Duration(s.e2eUs) * time.Microsecond,
+			LengthBytes: s.frames * model.MTUBytes, Type: model.StreamDet, Share: s.share})
+	}
+	return p
+}
+
+// TestGreedyClosesTightDeadlines is the instance that keeps the ALAP placer
+// in the default cascade: the first-fit placer gives up on it, greedy ships
+// a verifier-clean plan, and the cascade therefore stops at greedy instead
+// of falling through to the exact solver.
+func TestGreedyClosesTightDeadlines(t *testing.T) {
+	p := tightProblem(t)
+	p.Opts.Backend = core.BackendPlacer
+	var pf *core.PlaceFailure
+	if _, err := core.Schedule(p); !errors.As(err, &pf) || pf.Stream != "s23" {
+		t.Fatalf("placer: %v, want a PlaceFailure on s23", err)
+	}
+	for _, b := range []core.Backend{core.BackendGreedy, core.BackendCascade} {
+		p := tightProblem(t)
+		p.Opts.Backend = b
+		res, err := core.Schedule(p)
+		if err != nil {
+			t.Fatalf("%v: %v", b, err)
+		}
+		if vs := core.Verify(p.Network, res); len(vs) != 0 {
+			t.Fatalf("%v: %d violations, first: %s", b, len(vs), vs[0])
+		}
+		if got, fp := experiments.PlanFingerprint(res), "d9e08a1e828cc8fd"; got != fp || res.BackendUsed != core.BackendGreedy {
+			t.Errorf("%v: %v plan %s, want greedy plan %s", b, res.BackendUsed, got, fp)
+		}
+	}
+}
+
 // TestCascadeFingerprintsPinned pins the cascade's plans to the ones the
 // concurrent race emitted at the commit before it (31b930b): running the
 // backends in order and stopping at the first verified plan is the race's

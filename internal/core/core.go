@@ -158,10 +158,6 @@ type Options struct {
 	// DisablePrudentReservation turns Alg. 1 off (for ablation only; the
 	// verifier will typically report TCT deadline risks without it).
 	DisablePrudentReservation bool
-	// AssignPriorities lets the scheduler overwrite stream priorities with
-	// the paper's band layout (EP / shared / non-shared). Defaults to true
-	// when priorities are zero-valued.
-	AssignPriorities bool
 	// SpreadFrames staggers TCT placement (a deterministic per-stream
 	// phase plus even in-period spacing of a stream's frames) instead of
 	// packing everything as early as possible. This mirrors the slot
@@ -179,11 +175,6 @@ type Options struct {
 	// run. Empty means DefaultCascade. Entries must be concrete backends
 	// (not BackendAuto or BackendCascade).
 	Cascade []Backend
-	// ExpandCache, when non-nil, memoizes ECT probabilistic-stream
-	// expansion across schedules. Methods sharing a scenario (E-TSN,
-	// PERIOD, AVB over the same streams) re-expand identical ECTs; the
-	// cache hands each of them an independent deep copy of the template.
-	ExpandCache *ExpandCache
 	// SharedReserves lets the extra slots that prudent reservation adds
 	// for different sharing TCT streams overlap each other on the same
 	// link. Alg. 1 as written reserves per (stream, link), which
@@ -194,18 +185,6 @@ type Options struct {
 	// (5-MTU ECT messages, 40 sharing streams) are capacity-infeasible.
 	// The strict per-stream behaviour remains the default.
 	SharedReserves bool
-	// ReferenceSolver selects the chronological-backtracking reference
-	// search instead of the default CDCL(T) core in the SMT backends. The
-	// reference solver is the differential-testing oracle: slower on hard
-	// instances but structurally simple, useful for cross-checking a
-	// suspect schedule or bisecting a solver regression.
-	ReferenceSolver bool
-	// TheoryProp enables the SMT solver's exhaustive theory propagation
-	// pass (implied interned atoms asserted from the difference graph's
-	// potentials). It prunes search on deeply disjunctive instances but
-	// costs two shortest-path sweeps per asserted edge, which does not pay
-	// off on typical scheduling instances; off by default.
-	TheoryProp bool
 	// Obs receives scheduler metrics (solver effort, expansion and
 	// reservation counters) when non-nil; a nil registry disables
 	// instrumentation at zero cost.
@@ -371,24 +350,12 @@ type instance struct {
 	streams []*model.Stream
 	// frames[streamID][linkID] is |F_{s,link}| after prudent reservation.
 	frames map[model.StreamID]map[model.LinkID]int
-	// txUnits[streamID][linkID] is the full-MTU per-frame transmission
-	// time L in units on that link.
-	txUnits map[model.StreamID]map[model.LinkID]int64
-	// lastTxUnits[streamID][linkID] is the transmission time of the
-	// message's final fragment, which may be shorter than a full MTU.
-	lastTxUnits map[model.StreamID]map[model.LinkID]int64
-	// periodUnits[streamID] is T in units.
-	periodUnits map[model.StreamID]int64
-	// otUnits[streamID] is the occurrence time in units rounded up (the
-	// first slot may not precede the real event instant).
-	otUnits map[model.StreamID]int64
-	// otFloorUnits[streamID] is the occurrence time rounded down; latency
-	// budgets measure from it so the grid rounding stays conservative.
-	otFloorUnits map[model.StreamID]int64
-	// e2eUnits[streamID] is the latency bound in units.
-	e2eUnits map[model.StreamID]int64
-	// propUnits[linkID] is the propagation delay in units, rounded up.
-	propUnits map[model.LinkID]int64
+	// periodUnits, otUnits, otFloorUnits and e2eUnits are indexed like
+	// streams: the period T; the occurrence time rounded up (the first slot
+	// may not precede the real event instant) and rounded down (latency
+	// budgets measure from it, so the grid rounding stays conservative);
+	// and the latency bound, all in units.
+	periodUnits, otUnits, otFloorUnits, e2eUnits []int64
 	// hyper is the schedule hyperperiod in units.
 	hyper int64
 	// linkIdx numbers the links any stream crosses densely, in first-seen
@@ -400,7 +367,7 @@ type instance struct {
 	nFrames int
 }
 
-// hop is one link of a stream's path, resolved once so the placers' inner
+// hop is one link of a stream's path, resolved once so the backends' inner
 // loops index slices instead of hashing stream and link IDs.
 type hop struct {
 	lid   model.LinkID
@@ -412,7 +379,10 @@ type hop struct {
 	tx, lastTx, prop int64
 }
 
-// frameLen is instance.frameLen for a resolved hop.
+// frameLen returns the slot length for frame j of s on the hop: full MTU
+// for all fragments except the message's final one, whose slot matches its
+// actual size. Reserve slots are sized for a full MTU so they can drain any
+// displaced fragment.
 func (h *hop) frameLen(s *model.Stream, j int) int64 {
 	if j == s.Frames()-1 {
 		return h.lastTx
@@ -463,11 +433,11 @@ func buildInstance(p *Problem, opts Options) (*instance, error) {
 	for _, s := range p.TCT {
 		cp := *s
 		cp.Path = append([]model.LinkID(nil), s.Path...)
-		assignPriority(&cp, opts)
+		assignPriority(&cp)
 		streams = append(streams, &cp)
 	}
 	for _, e := range p.ECT {
-		ps, err := opts.ExpandCache.Expand(e, opts.NProb)
+		ps, err := ExpandECT(e, opts.NProb)
 		if err != nil {
 			spExpand.End()
 			return nil, err
@@ -486,13 +456,10 @@ func buildInstance(p *Problem, opts Options) (*instance, error) {
 		unit:         unit,
 		streams:      streams,
 		frames:       make(map[model.StreamID]map[model.LinkID]int, len(streams)),
-		txUnits:      make(map[model.StreamID]map[model.LinkID]int64, len(streams)),
-		lastTxUnits:  make(map[model.StreamID]map[model.LinkID]int64, len(streams)),
-		periodUnits:  make(map[model.StreamID]int64, len(streams)),
-		otUnits:      make(map[model.StreamID]int64, len(streams)),
-		otFloorUnits: make(map[model.StreamID]int64, len(streams)),
-		e2eUnits:     make(map[model.StreamID]int64, len(streams)),
-		propUnits:    make(map[model.LinkID]int64),
+		periodUnits:  make([]int64, len(streams)),
+		otUnits:      make([]int64, len(streams)),
+		otFloorUnits: make([]int64, len(streams)),
+		e2eUnits:     make([]int64, len(streams)),
 		linkIdx:      make(map[model.LinkID]int),
 		hops:         make([][]hop, 0, len(streams)),
 	}
@@ -523,23 +490,21 @@ func buildInstance(p *Problem, opts Options) (*instance, error) {
 
 	// Normalize times to units.
 	inst.hyper = 1
-	for _, s := range streams {
+	for si, s := range streams {
 		if int64(s.Period)%int64(unit) != 0 {
 			return nil, fmt.Errorf("%w: stream %q period %v is not a multiple of time unit %v",
 				ErrInvalidProblem, s.ID, s.Period, unit)
 		}
 		t := int64(s.Period) / int64(unit)
-		inst.periodUnits[s.ID] = t
+		inst.periodUnits[si] = t
 		inst.hyper = model.LCM(inst.hyper, t)
 		// Occurrence times round *up* to the unit grid: a possibility's
 		// first slot must not start before the real event instant it
 		// models (the worst-case analysis floors the previous possibility
 		// instead, staying conservative on both sides).
-		inst.otUnits[s.ID] = model.DurationToUnits(s.OccurrenceTime, unit)
-		inst.otFloorUnits[s.ID] = int64(s.OccurrenceTime) / int64(unit)
-		inst.e2eUnits[s.ID] = int64(s.E2E) / int64(unit)
-		tx := make(map[model.LinkID]int64, len(s.Path))
-		lastTx := make(map[model.LinkID]int64, len(s.Path))
+		inst.otUnits[si] = model.DurationToUnits(s.OccurrenceTime, unit)
+		inst.otFloorUnits[si] = int64(s.OccurrenceTime) / int64(unit)
+		inst.e2eUnits[si] = int64(s.E2E) / int64(unit)
 		lastBytes := s.LengthBytes - (s.Frames()-1)*model.MTUBytes
 		hops := make([]hop, 0, len(s.Path))
 		for _, lid := range s.Path {
@@ -551,12 +516,9 @@ func buildInstance(p *Problem, opts Options) (*instance, error) {
 			}
 			h := hop{lid: lid, link: li, count: inst.frames[s.ID][lid], base: inst.nFrames,
 				tx: link.TxUnits(model.MTUBytes), lastTx: link.TxUnits(lastBytes), prop: link.PropUnits()}
-			tx[lid], lastTx[lid], inst.propUnits[lid] = h.tx, h.lastTx, h.prop
 			inst.nFrames += h.count
 			hops = append(hops, h)
 		}
-		inst.txUnits[s.ID] = tx
-		inst.lastTxUnits[s.ID] = lastTx
 		inst.hops = append(inst.hops, hops)
 	}
 	return inst, nil
@@ -582,15 +544,15 @@ func commonTimeUnit(n *model.Network) (time.Duration, error) {
 }
 
 // assignPriority places a TCT stream into the paper's priority bands when
-// the caller did not pick a priority (or asked for reassignment).
-func assignPriority(s *model.Stream, opts Options) {
+// the caller did not pick a priority inside the stream's band.
+func assignPriority(s *model.Stream) {
 	inBand := func(p int) bool {
 		if s.Share {
 			return p >= model.PrioritySharedLow && p <= model.PrioritySharedHigh
 		}
 		return p >= model.PriorityNonSharedLow && p <= model.PriorityNonSharedHigh
 	}
-	if !opts.AssignPriorities && s.Priority != 0 && inBand(s.Priority) {
+	if s.Priority != 0 && inBand(s.Priority) {
 		return
 	}
 	if s.Share {
@@ -652,15 +614,4 @@ func (inst *instance) isReserveIndex(s *model.Stream, j int) bool {
 		return true
 	}
 	return s.Type == model.StreamDet && j >= s.Frames()
-}
-
-// frameLen returns the slot length for frame j of a stream on a link: full
-// MTU for all fragments except the message's final one, whose slot matches
-// its actual size. Reserve slots are sized for a full MTU so they can drain
-// any displaced fragment.
-func (inst *instance) frameLen(s *model.Stream, lid model.LinkID, j int) int64 {
-	if j == s.Frames()-1 {
-		return inst.lastTxUnits[s.ID][lid]
-	}
-	return inst.txUnits[s.ID][lid]
 }

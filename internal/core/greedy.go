@@ -21,21 +21,23 @@ func solveGreedy(ctx context.Context, inst *instance) (*Result, error) {
 	sp := inst.opts.Phases.Begin("place-alap")
 	defer sp.End()
 	t := newSlotTable(inst)
+	mins := make([]int64, inst.nFrames)
 	for _, si := range placementOrder(inst.streams) {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("%w: greedy: %v", ErrBudget, err)
 		}
-		if err := t.placeStreamLatest(si); err != nil {
+		if err := t.placeStreamLatest(si, mins); err != nil {
 			return nil, err
 		}
 	}
 	return t.result(BackendGreedy), nil
 }
 
-func (t *slotTable) placeStreamLatest(si int) error {
+// placeStreamLatest places stream si; mins is scratch indexed like vphi.
+func (t *slotTable) placeStreamLatest(si int, mins []int64) error {
 	inst, s, hops := t.inst, t.inst.streams[si], t.inst.hops[si]
-	period := inst.periodUnits[s.ID]
-	mins := chainMins(inst, s)
+	period := inst.periodUnits[si]
+	chainMins(inst, si, mins)
 	// The deadline anchor: a probabilistic stream must deliver within its
 	// budget measured from the floored occurrence time; a deterministic
 	// stream's budget is anchored at its earliest possible start, so the
@@ -43,9 +45,9 @@ func (t *slotTable) placeStreamLatest(si int) error {
 	// frame earlier than that chain minimum.
 	var deadline int64
 	if s.Type == model.StreamProb {
-		deadline = inst.otFloorUnits[s.ID] + inst.e2eUnits[s.ID]
+		deadline = inst.otFloorUnits[si] + inst.e2eUnits[si]
 	} else {
-		deadline = mins[frameKey{stream: s.ID, link: s.Path[0], index: 0}] + inst.e2eUnits[s.ID]
+		deadline = mins[hops[0].base] + inst.e2eUnits[si]
 	}
 	for li := len(hops) - 1; li >= 0; li-- {
 		h := &hops[li]
@@ -66,7 +68,7 @@ func (t *slotTable) placeStreamLatest(si int) error {
 					}
 				}
 			}
-			lb := mins[frameKey{stream: s.ID, link: h.lid, index: j}]
+			lb := mins[h.base+j]
 			v, ok := t.findSlotLatest(h.link, s, inst.isReserveIndex(s, j), lb, ub, l, period)
 			if !ok {
 				return &PlaceFailure{Stream: s.ID, Frame: j, Link: h.lid,
@@ -107,31 +109,29 @@ func (t *slotTable) findSlotLatest(link int, s *model.Stream, reserve bool, lb, 
 	}
 }
 
-// chainMins computes, for every frame of one stream, the earliest virtual
+// chainMins computes, for every frame of stream si, the earliest virtual
 // start the stream's *own* constraints allow (occurrence time, same-link
-// sequencing, adjacent-link arrival), ignoring other streams. These are
-// hard lower bounds on any schedule, used by the ALAP placer as scan
-// floors.
-func chainMins(inst *instance, s *model.Stream) map[frameKey]int64 {
-	mins := make(map[frameKey]int64)
-	for li, lid := range s.Path {
-		count := inst.frames[s.ID][lid]
-		for j := 0; j < count; j++ {
+// sequencing, adjacent-link arrival), ignoring other streams, into
+// mins[hop.base+j]. These are hard lower bounds on any schedule, used by the
+// ALAP placer as scan floors.
+func chainMins(inst *instance, si int, mins []int64) {
+	s, hops := inst.streams[si], inst.hops[si]
+	for li := range hops {
+		h := &hops[li]
+		for j := 0; j < h.count; j++ {
 			lb := int64(0)
 			if li == 0 && j == 0 && s.Type == model.StreamProb {
-				lb = inst.otUnits[s.ID]
+				lb = inst.otUnits[si]
 			}
 			if j > 0 {
-				lb = max(lb, mins[frameKey{stream: s.ID, link: lid, index: j - 1}]+inst.frameLen(s, lid, j-1))
+				lb = max(lb, mins[h.base+j-1]+h.frameLen(s, j-1))
 			}
 			if li > 0 {
-				up := s.Path[li-1]
-				upIdx := upstreamIndex(j, count, inst.frames[s.ID][up])
-				arr := mins[frameKey{stream: s.ID, link: up, index: upIdx}] + inst.frameLen(s, up, upIdx) + inst.propUnits[up]
-				lb = max(lb, arr)
+				up := &hops[li-1]
+				upIdx := upstreamIndex(j, h.count, up.count)
+				lb = max(lb, mins[up.base+upIdx]+up.frameLen(s, upIdx)+up.prop)
 			}
-			mins[frameKey{stream: s.ID, link: lid, index: j}] = lb
+			mins[h.base+j] = lb
 		}
 	}
-	return mins
 }

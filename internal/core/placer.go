@@ -52,11 +52,11 @@ func (t *slotTable) checkE2E(si int) error {
 	end := t.vphi[last.base+last.count-1] + last.frameLen(s, last.count-1)
 	start := t.vphi[hops[0].base]
 	if s.Type == model.StreamProb {
-		start = inst.otFloorUnits[s.ID]
+		start = inst.otFloorUnits[si]
 	}
-	if end-start > inst.e2eUnits[s.ID] {
+	if end-start > inst.e2eUnits[si] {
 		return &PlaceFailure{Stream: s.ID, Link: last.lid,
-			Reason: fmt.Sprintf("end-to-end %d units exceeds bound %d", end-start, inst.e2eUnits[s.ID])}
+			Reason: fmt.Sprintf("end-to-end %d units exceeds bound %d", end-start, inst.e2eUnits[si])}
 	}
 	return nil
 }
@@ -92,7 +92,7 @@ func solvePlacer(inst *instance) (*Result, error) {
 
 // result materializes the table's assignment.
 func (t *slotTable) result(b Backend) *Result {
-	res := extractSchedule(t.inst, func(f int, _ frameKey) int64 { return t.vphi[f] })
+	res := extractSchedule(t.inst, func(f int) int64 { return t.vphi[f] })
 	res.BackendUsed = b
 	return res
 }
@@ -160,13 +160,13 @@ func (t *slotTable) placeAll(order []int, spread bool) error {
 
 func (t *slotTable) placeStream(si int, spread bool) error {
 	inst, s, hops := t.inst, t.inst.streams[si], t.inst.hops[si]
-	period := inst.periodUnits[s.ID]
+	period := inst.periodUnits[si]
 	for li := range hops {
 		h := &hops[li]
 		for j := 0; j < h.count; j++ {
 			lb := int64(0)
 			if li == 0 && j == 0 && s.Type == model.StreamProb {
-				lb = inst.otUnits[s.ID]
+				lb = inst.otUnits[si]
 			}
 			if li == 0 && s.Type == model.StreamDet && spread {
 				// Stagger streams by a deterministic phase and spread a

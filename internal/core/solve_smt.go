@@ -11,128 +11,121 @@ import (
 	"etsn/internal/smt"
 )
 
-// frameKey identifies one frame-offset variable φ.
-type frameKey struct {
-	stream model.StreamID
-	link   model.LinkID
-	index  int
-}
-
 // smtBuilder incrementally translates the instance into difference-logic
-// constraints.
+// constraints. vars holds one frame-offset variable φ per frame, indexed
+// like the slot table (hop.base + frame index) and allocated in that order
+// as streams are added.
 type smtBuilder struct {
 	inst   *instance
 	solver *smt.Solver
-	vars   map[frameKey]smt.Var
+	vars   []smt.Var
 }
 
 func newSMTBuilder(inst *instance) *smtBuilder {
 	b := &smtBuilder{
 		inst:   inst,
 		solver: smt.NewSolver(),
-		vars:   make(map[frameKey]smt.Var),
+		vars:   make([]smt.Var, inst.nFrames),
 	}
 	b.solver.MaxDecisions = inst.opts.MaxDecisions
 	if inst.opts.Timeout > 0 {
 		b.solver.Deadline = time.Now().Add(inst.opts.Timeout)
 	}
-	if inst.opts.ReferenceSolver {
-		b.solver.Mode = smt.ModeReference
-	}
-	b.solver.TheoryProp = inst.opts.TheoryProp
 	return b
 }
 
-func (b *smtBuilder) varFor(k frameKey) smt.Var {
-	if v, ok := b.vars[k]; ok {
-		return v
-	}
+// newVar allocates the variable of frame j of s on hop h.
+func (b *smtBuilder) newVar(s *model.Stream, h *hop, j int) smt.Var {
 	// Name lazily: constraint emission allocates one variable per frame
 	// slot and the Sprintf showed up in profiles; only debug paths ever
 	// read the names.
 	v := b.solver.NewVarLazy(func() string {
-		return fmt.Sprintf("phi(%s,%s,%d)", k.stream, k.link, k.index)
+		return fmt.Sprintf("phi(%s,%s,%d)", s.ID, h.lid, j)
 	})
-	b.vars[k] = v
+	b.vars[h.base+j] = v
 	return v
 }
 
-// addStreamConstraints emits constraints (1)-(4) and (7) for one stream.
-func (b *smtBuilder) addStreamConstraints(s *model.Stream) {
+// addStreamConstraints emits constraints (1)-(4) and (7) for stream si.
+func (b *smtBuilder) addStreamConstraints(si int) {
 	inst := b.inst
-	t := inst.periodUnits[s.ID]
-	for li, lid := range s.Path {
-		count := inst.frames[s.ID][lid]
-		for j := 0; j < count; j++ {
-			l := inst.frameLen(s, lid, j)
-			v := b.varFor(frameKey{stream: s.ID, link: lid, index: j})
+	s, hops := inst.streams[si], inst.hops[si]
+	t := inst.periodUnits[si]
+	for li := range hops {
+		h := &hops[li]
+		for j := 0; j < h.count; j++ {
+			l := h.frameLen(s, j)
+			v := b.newVar(s, h, j)
 			// (1) fit in the period: 0 <= φ and φ + L <= T.
 			b.solver.AssertRange(v, 0, t-l)
 			// (3) frames of the same stream are sent in sequence.
 			if j > 0 {
-				prev := b.varFor(frameKey{stream: s.ID, link: lid, index: j - 1})
-				b.solver.AssertGE(v, prev, inst.frameLen(s, lid, j-1))
+				b.solver.AssertGE(v, b.vars[h.base+j-1], h.frameLen(s, j-1))
 			}
 		}
 		// (7) adjacent-link constraints with the prudent-reservation
 		// index shift o = max(|F_up| - |F_down|, 0).
 		if li > 0 {
-			up := s.Path[li-1]
-			for j := 0; j < count; j++ {
-				upIdx := upstreamIndex(j, count, inst.frames[s.ID][up])
-				vDown := b.varFor(frameKey{stream: s.ID, link: lid, index: j})
-				vUp := b.varFor(frameKey{stream: s.ID, link: up, index: upIdx})
-				b.solver.AssertGE(vDown, vUp, inst.frameLen(s, up, upIdx)+inst.propUnits[up])
+			up := &hops[li-1]
+			for j := 0; j < h.count; j++ {
+				upIdx := upstreamIndex(j, h.count, up.count)
+				b.solver.AssertGE(b.vars[h.base+j], b.vars[up.base+upIdx], up.frameLen(s, upIdx)+up.prop)
 			}
 		}
 	}
 	// (2) a probabilistic stream's first frame on the first link starts at
 	// or after its occurrence time.
-	first := b.varFor(frameKey{stream: s.ID, link: s.Path[0], index: 0})
+	first := b.vars[hops[0].base]
 	if s.Type == model.StreamProb {
-		b.solver.AddClause(smt.GEConst(first, inst.otUnits[s.ID]))
+		b.solver.AddClause(smt.GEConst(first, inst.otUnits[si]))
 	}
 	// (4) end-to-end latency. We include the last frame's transmission
 	// time so the bound covers full delivery (strictly tighter than the
 	// paper's (4), which compares start times only).
-	lastLink := s.Path[len(s.Path)-1]
-	lastIdx := inst.frames[s.ID][lastLink] - 1
-	last := b.varFor(frameKey{stream: s.ID, link: lastLink, index: lastIdx})
-	lLast := inst.frameLen(s, lastLink, lastIdx)
+	last, lLast := b.lastFrame(si)
 	if s.Type == model.StreamProb {
 		// The budget measures from the floored occurrence time so grid
 		// rounding stays on the conservative side (matching the verifier).
-		b.solver.AddClause(smt.LEConst(last, inst.otFloorUnits[s.ID]+inst.e2eUnits[s.ID]-lLast))
+		b.solver.AddClause(smt.LEConst(last, inst.otFloorUnits[si]+inst.e2eUnits[si]-lLast))
 	} else {
-		b.solver.AssertLE(last, first, inst.e2eUnits[s.ID]-lLast)
+		b.solver.AssertLE(last, first, inst.e2eUnits[si]-lLast)
 	}
 }
 
-// addOverlapConstraints emits constraints (5) between two streams on every
-// link they have in common, unless the pair is allowed to overlap.
-func (b *smtBuilder) addOverlapConstraints(a, c *model.Stream) {
+// lastFrame returns the variable and length of stream si's final frame on
+// its final link.
+func (b *smtBuilder) lastFrame(si int) (smt.Var, int64) {
+	hops := b.inst.hops[si]
+	h := &hops[len(hops)-1]
+	return b.vars[h.base+h.count-1], h.frameLen(b.inst.streams[si], h.count-1)
+}
+
+// addOverlapConstraints emits constraints (5) between streams ai and ci on
+// every link they have in common, unless the pair is allowed to overlap.
+func (b *smtBuilder) addOverlapConstraints(ai, ci int) {
+	inst := b.inst
+	a, c := inst.streams[ai], inst.streams[ci]
 	if canOverlap(a, c) {
 		return
 	}
-	inst := b.inst
-	ta, tc := inst.periodUnits[a.ID], inst.periodUnits[c.ID]
+	ta, tc := inst.periodUnits[ai], inst.periodUnits[ci]
 	hyper := model.LCM(ta, tc)
-	for _, lid := range a.Path {
-		if !pathContains(c.Path, lid) {
+	for hi := range inst.hops[ai] {
+		ha := &inst.hops[ai][hi]
+		hc := inst.hopOn(ci, ha.lid)
+		if hc == nil {
 			continue
 		}
-		na := inst.frames[a.ID][lid]
-		nc := inst.frames[c.ID][lid]
-		for i := 0; i < na; i++ {
-			va := b.varFor(frameKey{stream: a.ID, link: lid, index: i})
+		for i := 0; i < ha.count; i++ {
+			va := b.vars[ha.base+i]
 			aRes := inst.isReserveIndex(a, i)
-			la := inst.frameLen(a, lid, i)
-			for j := 0; j < nc; j++ {
+			la := ha.frameLen(a, i)
+			for j := 0; j < hc.count; j++ {
 				if slotsCanOverlap(a, c, aRes, inst.isReserveIndex(c, j), inst.opts.SharedReserves) {
 					continue
 				}
-				lc := inst.frameLen(c, lid, j)
-				vc := b.varFor(frameKey{stream: c.ID, link: lid, index: j})
+				lc := hc.frameLen(c, j)
+				vc := b.vars[hc.base+j]
 				for x := int64(0); x < hyper/ta; x++ {
 					for y := int64(0); y < hyper/tc; y++ {
 						// Either a's instance x starts after c's instance y
@@ -173,10 +166,10 @@ func solveSMT(ctx context.Context, inst *instance, incremental bool) (*Result, e
 		m, err = solveIncremental(ctx, b, inst)
 	} else {
 		spEmit := inst.opts.Phases.Begin("emit-constraints")
-		for i, s := range inst.streams {
-			b.addStreamConstraints(s)
+		for i := range inst.streams {
+			b.addStreamConstraints(i)
 			for j := 0; j < i; j++ {
-				b.addOverlapConstraints(inst.streams[j], s)
+				b.addOverlapConstraints(j, i)
 			}
 		}
 		spEmit.End()
@@ -195,9 +188,7 @@ func solveSMT(ctx context.Context, inst *instance, incremental bool) (*Result, e
 			return nil, wrapSolveErr(merr, "")
 		}
 	}
-	res := extractSchedule(inst, func(_ int, k frameKey) int64 {
-		return m.Value(b.vars[k])
-	})
+	res := extractSchedule(inst, func(f int) int64 { return m.Value(b.vars[f]) })
 	st := b.solver.TotalStats()
 	res.SolverStats = SolverStats{
 		Decisions:        st.Decisions,
@@ -229,9 +220,9 @@ func solveIncremental(ctx context.Context, b *smtBuilder, inst *instance) (*smt.
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrBudget, err)
 		}
-		b.addStreamConstraints(s)
+		b.addStreamConstraints(i)
 		for j := 0; j < i; j++ {
-			b.addOverlapConstraints(inst.streams[j], s)
+			b.addOverlapConstraints(j, i)
 		}
 		var err error
 		m, err = b.solver.SolveContext(ctx)
@@ -280,18 +271,15 @@ func (b *smtBuilder) minimizeECT() (*smt.Model, error) {
 	d := b.solver.NewVar("objective:worst-ect-latency")
 	var hi int64
 	seen := false
-	for _, s := range inst.streams {
+	for si, s := range inst.streams {
 		if s.Type != model.StreamProb {
 			continue
 		}
 		seen = true
-		lastLink := s.Path[len(s.Path)-1]
-		lastIdx := inst.frames[s.ID][lastLink] - 1
-		last := b.varFor(frameKey{stream: s.ID, link: lastLink, index: lastIdx})
-		lLast := inst.frameLen(s, lastLink, lastIdx)
+		last, lLast := b.lastFrame(si)
 		// D >= (φ_last + L) - ot.
-		b.solver.AssertGE(d, last, lLast-inst.otFloorUnits[s.ID])
-		if e := inst.e2eUnits[s.ID]; e > hi {
+		b.solver.AssertGE(d, last, lLast-inst.otFloorUnits[si])
+		if e := inst.e2eUnits[si]; e > hi {
 			hi = e
 		}
 	}
@@ -316,17 +304,16 @@ func wrapSolveErr(err error, at model.StreamID) error {
 }
 
 // extractSchedule materializes a Schedule from a frame-offset assignment;
-// offset receives each frame's slot-table index and its key, for backends
-// that hold their assignment under either.
-func extractSchedule(inst *instance, offset func(f int, k frameKey) int64) *Result {
+// offset receives each frame's slot-table index.
+func extractSchedule(inst *instance, offset func(f int) int64) *Result {
 	sched := model.NewSchedule()
 	sched.Hyperperiod = model.UnitsToDuration(inst.hyper, inst.unit)
 	for si, s := range inst.streams {
 		sched.AddStream(s)
-		t := inst.periodUnits[s.ID]
+		t := inst.periodUnits[si]
 		for _, h := range inst.hops[si] {
 			for j := 0; j < h.count; j++ {
-				v := offset(h.base+j, frameKey{stream: s.ID, link: h.lid, index: j})
+				v := offset(h.base + j)
 				sched.AddSlot(model.FrameSlot{
 					Stream:   s.ID,
 					Link:     h.lid,

@@ -54,9 +54,7 @@ func solveBackendPoint(scen *Scenario, b core.Backend, timeout time.Duration, op
 // Backends runs the cross-backend benchmark on the Fig. 11 testbed load
 // grid. Solves run strictly sequentially even under -parallel: the walls
 // are the measurement, and concurrent solves contending for cores would
-// skew them. Each scenario's expansion cache is warmed by an untimed placer
-// run first, so every timed wall is a solve time, not an ECT-expansion
-// time.
+// skew them.
 func Backends(opts RunOptions) (*BackendsResult, error) {
 	opts = opts.withDefaults()
 	out := &BackendsResult{Timeout: BackendsTimeout}
@@ -64,10 +62,6 @@ func Backends(opts RunOptions) (*BackendsResult, error) {
 		scen, err := NewTestbedScenario(load, DefaultSeed)
 		if err != nil {
 			return nil, fmt.Errorf("backends load %v: %w", load, err)
-		}
-		warm := RunOptions{Seed: opts.Seed} // no Obs: the warm-up run is not part of the measurement
-		if pt, _ := solveBackendPoint(scen, core.BackendPlacer, BackendsTimeout, warm); !pt.Feasible {
-			return nil, fmt.Errorf("backends load %v: warm-up placer solve failed: %s", load, pt.Err)
 		}
 		for _, b := range core.DefaultCascade() {
 			pt, _ := solveBackendPoint(scen, b, BackendsTimeout, opts)
@@ -127,50 +121,4 @@ func (r *BackendsResult) WriteTable(w io.Writer) {
 // fmtWallUs renders a microsecond wall time compactly.
 func fmtWallUs(us int64) string {
 	return (time.Duration(us) * time.Microsecond).Round(time.Microsecond).String()
-}
-
-// BackendComparison aggregates one backend over a scenario grid: how many
-// scenarios it closed with a verifier-clean plan, and its total solve wall.
-// This is the per-backend comparison column the fig11/fig14 tables gain
-// under RunOptions.BackendCompare.
-type BackendComparison struct {
-	Backend string
-	// Solved counts scenarios closed with a feasible, verifier-clean plan.
-	Solved int
-	// Cells is the scenario count (Solved/Cells is the schedulable ratio).
-	Cells int
-	// WallUs is the total solve wall across the grid, microseconds.
-	WallUs int64
-}
-
-// CompareBackends solves every scenario once per backend of the default
-// cascade, sequentially (walls are measurements).
-func CompareBackends(scens []*Scenario, opts RunOptions) []BackendComparison {
-	order := core.DefaultCascade()
-	rows := make([]BackendComparison, 0, len(order))
-	for _, b := range order {
-		row := BackendComparison{Backend: b.String(), Cells: len(scens)}
-		for _, scen := range scens {
-			pt, _ := solveBackendPoint(scen, b, BackendsTimeout, opts)
-			if pt.Feasible && pt.Verified {
-				row.Solved++
-			}
-			row.WallUs += pt.WallUs
-		}
-		rows = append(rows, row)
-	}
-	return rows
-}
-
-// WriteBackendComparison renders a comparison section. Callers keep it out
-// of the byte-identity-gated main tables: wall times vary run to run.
-func WriteBackendComparison(w io.Writer, title string, rows []BackendComparison) {
-	if len(rows) == 0 {
-		return
-	}
-	fmt.Fprintln(w, title)
-	fmt.Fprintf(w, "  %-16s %-14s %s\n", "backend", "schedulable", "solve wall")
-	for _, row := range rows {
-		fmt.Fprintf(w, "  %-16s %d/%-12d %s\n", row.Backend, row.Solved, row.Cells, fmtWallUs(row.WallUs))
-	}
 }

@@ -39,13 +39,6 @@ type RunOptions struct {
 	// builds (passes through to core.Options.Backend; zero keeps core's
 	// auto default).
 	Backend core.Backend
-	// BackendCompare additionally runs every scheduling backend standalone
-	// on the experiment's scenario grid and attaches a per-backend
-	// comparison (schedulable ratio and solve wall) to results that
-	// support it (Fig. 11, Fig. 14). Off by default: the comparison
-	// section carries wall-clock times and is therefore not byte-stable
-	// across runs, unlike the main tables.
-	BackendCompare bool
 }
 
 func (o RunOptions) withDefaults() RunOptions {

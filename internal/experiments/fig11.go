@@ -30,11 +30,6 @@ type Fig11Cell struct {
 // under 25/50/75% network load on the testbed topology.
 type Fig11Result struct {
 	Cells []Fig11Cell
-	// Backends is the optional per-backend comparison over the load grid
-	// (schedulable ratio and solve wall per scheduling backend), filled
-	// when RunOptions.BackendCompare is set. It is rendered by
-	// WriteBackendTable, not WriteTable: the walls are not byte-stable.
-	Backends []BackendComparison
 }
 
 // Fig11 runs the experiment. The load x method grid cells are independent,
@@ -74,11 +69,7 @@ func Fig11(opts RunOptions) (*Fig11Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &Fig11Result{Cells: cells}
-	if opts.BackendCompare {
-		out.Backends = CompareBackends(scens, opts)
-	}
-	return out, nil
+	return &Fig11Result{Cells: cells}, nil
 }
 
 // Cell returns the cell for a load/method pair.
@@ -110,12 +101,6 @@ func (r *Fig11Result) WriteTable(w io.Writer) {
 			fmt.Fprintln(w)
 		}
 	}
-}
-
-// WriteBackendTable renders the optional per-backend comparison (empty
-// unless the run set RunOptions.BackendCompare).
-func (r *Fig11Result) WriteBackendTable(w io.Writer) {
-	WriteBackendComparison(w, "Fig. 11 backends — schedulable ratio and solve wall over the load grid", r.Backends)
 }
 
 func shortDur(d time.Duration) string {

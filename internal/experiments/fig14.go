@@ -32,12 +32,6 @@ type Fig14Cell struct {
 // simulation topology, swept over network load and message length.
 type Fig14Result struct {
 	Cells []Fig14Cell
-	// Backends is the optional per-backend comparison (schedulable ratio
-	// and solve wall per scheduling backend) over the load grid at the
-	// sweep's first message length, filled when RunOptions.BackendCompare
-	// is set. Rendered by WriteBackendTable, not WriteTable: the walls are
-	// not byte-stable.
-	Backends []BackendComparison
 }
 
 // Fig14 runs the full grid. With the default lengths x loads x methods this
@@ -86,17 +80,7 @@ func Fig14Custom(loads []float64, lengths []int, opts RunOptions) (*Fig14Result,
 	if err != nil {
 		return nil, err
 	}
-	out := &Fig14Result{Cells: cells}
-	if opts.BackendCompare {
-		// One scenario per load (the first length) keeps the comparison a
-		// load sweep rather than a full 15-cell regrind.
-		perLoad := make([]*Scenario, len(loads))
-		for li := range loads {
-			perLoad[li] = scens[li*len(lengths)]
-		}
-		out.Backends = CompareBackends(perLoad, opts)
-	}
-	return out, nil
+	return &Fig14Result{Cells: cells}, nil
 }
 
 // Cell returns one measurement.
@@ -107,12 +91,6 @@ func (r *Fig14Result) Cell(load float64, length int, m sched.Method) (Fig14Cell,
 		}
 	}
 	return Fig14Cell{}, false
-}
-
-// WriteBackendTable renders the optional per-backend comparison (empty
-// unless the run set RunOptions.BackendCompare).
-func (r *Fig14Result) WriteBackendTable(w io.Writer) {
-	WriteBackendComparison(w, "Fig. 14 backends — schedulable ratio and solve wall over the load grid (first length)", r.Backends)
 }
 
 // WriteTable renders the (a)-(c) latency panels and (d)-(f) jitter panels.

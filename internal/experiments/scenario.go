@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"time"
 
-	"etsn/internal/core"
 	"etsn/internal/model"
 	"etsn/internal/sched"
 	"etsn/internal/sim"
@@ -63,16 +62,12 @@ type Scenario struct {
 	NProb int
 	// Load is the requested TCT bottleneck load.
 	Load float64
-	// Cache memoizes ECT expansion across the methods planned on this
-	// scenario: E-TSN, PERIOD, and AVB cells expand identical ECT streams,
-	// so they share one expansion and receive independent deep copies.
-	Cache *core.ExpandCache
 }
 
 // Problem converts the scenario to the planner's input.
 func (s *Scenario) Problem() sched.Problem {
 	return sched.Problem{Network: s.Network, TCT: s.TCT, ECT: s.ECT,
-		NProb: s.NProb, Spread: true, Cache: s.Cache}
+		NProb: s.NProb, Spread: true}
 }
 
 // NewTestbedScenario assembles the Sec. VI-B setup: the testbed topology,
@@ -111,7 +106,7 @@ func NewTestbedScenario(load float64, seed int64) (*Scenario, error) {
 		return nil, err
 	}
 	return &Scenario{Network: n, TCT: tct, ECT: []*model.ECT{ect}, BE: be,
-		NProb: TestbedNProb, Load: load, Cache: core.NewExpandCache()}, nil
+		NProb: TestbedNProb, Load: load}, nil
 }
 
 // NewSimulationScenario assembles the Sec. VI-C setup: the 4-switch /
@@ -155,7 +150,7 @@ func NewSimulationScenario(load float64, msgMTUs int, shareFraction float64, see
 		return nil, err
 	}
 	return &Scenario{Network: n, TCT: tct, ECT: []*model.ECT{ect}, BE: be,
-		NProb: SimNProb, Load: load, Cache: core.NewExpandCache()}, nil
+		NProb: SimNProb, Load: load}, nil
 }
 
 // RingStreams is the TCT count of the fault-recovery scenario; RingNProb
@@ -203,7 +198,7 @@ func NewRingScenario(load float64, seed int64) (*Scenario, error) {
 		return nil, err
 	}
 	return &Scenario{Network: n, TCT: tct, ECT: []*model.ECT{ect}, BE: be,
-		NProb: RingNProb, Load: load, Cache: core.NewExpandCache()}, nil
+		NProb: RingNProb, Load: load}, nil
 }
 
 // backgroundFlows builds one best-effort flow per device towards a

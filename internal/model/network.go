@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -30,36 +29,17 @@ const DefaultTimeUnit = time.Microsecond
 //
 // Query methods (ShortestPath, Neighbors, ...) are safe for concurrent
 // use once construction is done; mutation (AddDevice/AddSwitch/AddLink)
-// must not race with queries. The routing caches below exist because the
+// must not race with queries. The memo below exists because the
 // experiment pipeline resolves the same scenario's routes once per
 // method cell — and, with experiment cells fanned out over a worker pool,
-// from many readers at once.
-//
-// The caches are two-level to keep hot readers off any lock: an immutable
-// snapshot behind an atomic pointer serves the common case lock-free, and
-// a small mutex-guarded overflow map absorbs new entries. When the
-// overflow outgrows the snapshot it is promoted into a fresh merged
-// snapshot (geometric growth, so total copying stays linear in the final
-// cache size). A single RWMutex here was the top contention point under
-// parallel component solving: every reader bounced the lock's cache line
-// even on a 100% hit rate.
+// from several readers at once.
 type Network struct {
 	nodes map[NodeID]*Node
 	links map[LinkID]*Link
 	adj   map[NodeID][]NodeID
 
-	// snap is the immutable read-mostly cache snapshot (nil until the
-	// first promotion after construction or invalidation).
-	snap atomic.Pointer[netCache]
-	// ovMu guards the overflow maps holding entries newer than snap.
-	ovMu     sync.Mutex
-	ovAdj    map[NodeID][]NodeID
-	ovRoutes map[[2]NodeID]routeEntry
-}
-
-// netCache is one immutable cache snapshot. Readers access it lock-free
-// through Network.snap and must never mutate it.
-type netCache struct {
+	// mu guards the two memo maps; every topology mutation drops both.
+	mu        sync.Mutex
 	sortedAdj map[NodeID][]NodeID      // Neighbors, sorted once per node
 	routes    map[[2]NodeID]routeEntry // memoized ShortestPath results
 }
@@ -100,52 +80,10 @@ func (n *Network) addNode(id NodeID, kind NodeKind) error {
 // invalidateCaches drops the memoized adjacency and routing state; every
 // topology mutation calls it.
 func (n *Network) invalidateCaches() {
-	n.snap.Store(nil)
-	n.ovMu.Lock()
-	n.ovAdj = nil
-	n.ovRoutes = nil
-	n.ovMu.Unlock()
-}
-
-// promoteLocked merges the overflow maps into a fresh snapshot when they
-// outgrow it. Called with ovMu held. The max(64, snapshot size) threshold
-// makes snapshot rebuilds geometric: each promotion at least doubles the
-// snapshot beyond the floor, so the total entries copied over a cache's
-// lifetime is O(final size).
-func (n *Network) promoteLocked() {
-	old := n.snap.Load()
-	oldSize := 0
-	if old != nil {
-		oldSize = len(old.sortedAdj) + len(old.routes)
-	}
-	threshold := 64
-	if oldSize > threshold {
-		threshold = oldSize
-	}
-	if len(n.ovAdj)+len(n.ovRoutes) < threshold {
-		return
-	}
-	next := &netCache{
-		sortedAdj: make(map[NodeID][]NodeID, len(n.ovAdj)+oldSize),
-		routes:    make(map[[2]NodeID]routeEntry, len(n.ovRoutes)+oldSize),
-	}
-	if old != nil {
-		for k, v := range old.sortedAdj {
-			next.sortedAdj[k] = v
-		}
-		for k, v := range old.routes {
-			next.routes[k] = v
-		}
-	}
-	for k, v := range n.ovAdj {
-		next.sortedAdj[k] = v
-	}
-	for k, v := range n.ovRoutes {
-		next.routes[k] = v
-	}
-	n.snap.Store(next)
-	n.ovAdj = nil
-	n.ovRoutes = nil
+	n.mu.Lock()
+	n.sortedAdj = nil
+	n.routes = nil
+	n.mu.Unlock()
 }
 
 // AddLink adds a full-duplex link between a and b: two directed edges with
@@ -237,30 +175,18 @@ func (n *Network) Neighbors(id NodeID) []NodeID {
 // makes repeated path queries allocation-free on the adjacency side.
 // Callers must not mutate the result.
 func (n *Network) neighborsSorted(id NodeID) []NodeID {
-	if c := n.snap.Load(); c != nil {
-		if s, ok := c.sortedAdj[id]; ok {
-			return s
-		}
-	}
-	n.ovMu.Lock()
-	if s, ok := n.ovAdj[id]; ok {
-		n.ovMu.Unlock()
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if s, ok := n.sortedAdj[id]; ok {
 		return s
 	}
-	n.ovMu.Unlock()
 	s := make([]NodeID, len(n.adj[id]))
 	copy(s, n.adj[id])
 	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	n.ovMu.Lock()
-	defer n.ovMu.Unlock()
-	if prev, ok := n.ovAdj[id]; ok {
-		return prev // lost the insert race; keep the first value
+	if n.sortedAdj == nil {
+		n.sortedAdj = make(map[NodeID][]NodeID)
 	}
-	if n.ovAdj == nil {
-		n.ovAdj = make(map[NodeID][]NodeID)
-	}
-	n.ovAdj[id] = s
-	n.promoteLocked()
+	n.sortedAdj[id] = s
 	return s
 }
 
@@ -276,20 +202,19 @@ func (n *Network) NumLinks() int { return len(n.links) }
 // caller may mutate the returned slice.
 func (n *Network) ShortestPath(src, dst NodeID) ([]LinkID, error) {
 	key := [2]NodeID{src, dst}
-	e, ok := n.cachedRoute(key)
+	n.mu.Lock()
+	e, ok := n.routes[key]
+	n.mu.Unlock()
 	if !ok {
+		// Searched outside the lock (the BFS takes it per visited node);
+		// two racing misses compute the same deterministic path.
 		e.path, e.err = n.shortestPathUncached(src, dst)
-		n.ovMu.Lock()
-		if prev, ok := n.ovRoutes[key]; ok {
-			e = prev // lost the insert race; keep the first value
-		} else {
-			if n.ovRoutes == nil {
-				n.ovRoutes = make(map[[2]NodeID]routeEntry)
-			}
-			n.ovRoutes[key] = e
-			n.promoteLocked()
+		n.mu.Lock()
+		if n.routes == nil {
+			n.routes = make(map[[2]NodeID]routeEntry)
 		}
-		n.ovMu.Unlock()
+		n.routes[key] = e
+		n.mu.Unlock()
 	}
 	if e.err != nil {
 		return nil, e.err
@@ -297,20 +222,6 @@ func (n *Network) ShortestPath(src, dst NodeID) ([]LinkID, error) {
 	out := make([]LinkID, len(e.path))
 	copy(out, e.path)
 	return out, nil
-}
-
-// cachedRoute looks a route up in the snapshot (lock-free) and then the
-// overflow.
-func (n *Network) cachedRoute(key [2]NodeID) (routeEntry, bool) {
-	if c := n.snap.Load(); c != nil {
-		if e, ok := c.routes[key]; ok {
-			return e, true
-		}
-	}
-	n.ovMu.Lock()
-	e, ok := n.ovRoutes[key]
-	n.ovMu.Unlock()
-	return e, ok
 }
 
 func (n *Network) shortestPathUncached(src, dst NodeID) ([]LinkID, error) {

@@ -39,25 +39,35 @@ func backendProblem(t *testing.T) (*model.Network, *core.Problem) {
 	}
 }
 
-// TestBackendsSolve runs every built-in Backend implementation over a tiny
-// problem: each must return a verifier-clean plan, leave the caller's
-// options untouched, and report a stable name.
+// backendNames are the concrete strategies Problem.Backend can select, in
+// cascade order, the cascade itself last.
+var backendNames = []string{"placer", "greedy", "smt-incremental", "smt", "cascade"}
+
+// TestBackendsSolve selects every backend through Problem.Backend over a
+// tiny problem: each must return a verifier-clean plan produced by the
+// backend asked for (the cascade's winner is its head, the placer).
 func TestBackendsSolve(t *testing.T) {
-	for _, b := range Backends() {
-		t.Run(b.Name(), func(t *testing.T) {
-			n, p := backendProblem(t)
-			res, err := b.Solve(context.Background(), p)
+	for _, name := range backendNames {
+		t.Run(name, func(t *testing.T) {
+			b, err := core.ParseBackend(name)
 			if err != nil {
-				t.Fatalf("Solve: %v", err)
+				t.Fatal(err)
+			}
+			n, cp := backendProblem(t)
+			p := Problem{Network: n, TCT: cp.TCT, Backend: b}
+			res, err := core.ScheduleContext(context.Background(), p.Core())
+			if err != nil {
+				t.Fatalf("Schedule: %v", err)
 			}
 			if vs := core.Verify(n, res); len(vs) != 0 {
 				t.Fatalf("%d violations, first: %s", len(vs), vs[0])
 			}
-			if p.Opts.Backend != 0 {
-				t.Fatalf("Solve mutated caller options: Backend = %v", p.Opts.Backend)
+			want := b
+			if b == core.BackendCascade {
+				want = core.BackendPlacer
 			}
-			if got, err := BackendByName(b.Name()); err != nil || got.Name() != b.Name() {
-				t.Fatalf("BackendByName(%q) = %v, %v", b.Name(), got, err)
+			if res.BackendUsed != want {
+				t.Fatalf("BackendUsed = %v, want %v", res.BackendUsed, want)
 			}
 		})
 	}
@@ -67,11 +77,14 @@ func TestBackendsSolve(t *testing.T) {
 // error chain depends on: the SMT backends are the exact anchors,
 // everything else is a heuristic whose failures carry no proof.
 func TestBackendCapabilities(t *testing.T) {
-	for _, b := range Backends() {
-		exact := b.Capabilities().Exact
-		wantExact := b.Name() == "smt" || b.Name() == "smt-incremental"
-		if exact != wantExact {
-			t.Errorf("backend %s: Exact = %v, want %v", b.Name(), exact, wantExact)
+	for _, name := range backendNames {
+		b, err := core.ParseBackend(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantExact := name == "smt" || name == "smt-incremental"
+		if exact := b.Capabilities().Exact; exact != wantExact {
+			t.Errorf("backend %s: Exact = %v, want %v", name, exact, wantExact)
 		}
 	}
 }

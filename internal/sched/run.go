@@ -50,9 +50,6 @@ type Problem struct {
 	// planner phases. Both pass through to core.Options.
 	Obs    *obs.Registry
 	Phases *obs.Tracer
-	// Cache optionally memoizes ECT expansion across the methods planned
-	// on one scenario (passes through to core.Options.ExpandCache).
-	Cache *core.ExpandCache
 	// Backend selects the scheduling backend (passes through to
 	// core.Options.Backend; zero keeps core's auto default).
 	Backend core.Backend
@@ -67,8 +64,7 @@ type Problem struct {
 func (p Problem) Core() *core.Problem {
 	return &core.Problem{Network: p.Network, TCT: p.TCT, ECT: p.ECT,
 		Opts: core.Options{NProb: p.NProb, SpreadFrames: p.Spread, SharedReserves: true,
-			Obs: p.Obs, Phases: p.Phases, ExpandCache: p.Cache,
-			Backend: p.Backend, Timeout: p.Timeout}}
+			Obs: p.Obs, Phases: p.Phases, Backend: p.Backend, Timeout: p.Timeout}}
 }
 
 // SimOptions configures a plan simulation beyond the common parameters.

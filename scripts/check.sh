@@ -12,8 +12,9 @@
 # /api/trend documents and drain cleanly on SIGTERM), and a
 # short fuzz smoke over the corpus seeds of every fuzz target. Each bench
 # refresh appends its headline wall time to bench/history.jsonl so
-# regressions are visible across runs. The last step prints the non-test Go
-# line count.
+# regressions are visible across runs. The last step prints the two size
+# figures ROADMAP.md tracks: the non-test Go line count and the number of
+# core.Options fields.
 #
 # Usage: ./scripts/check.sh            (from the repository root)
 #        FUZZTIME=10s ./scripts/check.sh
@@ -52,9 +53,9 @@ echo "==> go test -race ./internal/dash/... (dashboard, explicit)"
 go test -race -count=1 ./internal/dash/...
 
 echo "==> go test -race route cache (explicit)"
-# Experiment cells running in parallel share one network, and the route
-# cache promotes overflow entries under concurrent readers; that must hold
-# under the race detector every run.
+# Experiment cells running in parallel share one network and fill its
+# mutex-guarded route memo from cold concurrently; that must hold under the
+# race detector every run.
 go test -race -count=1 -run 'TestRouteCacheConcurrentReaders' ./internal/model/
 
 echo "==> benchmark smoke (-benchtime=1x)"
@@ -142,7 +143,8 @@ echo "==> daemon decoder fuzz smoke (${DIFF_FUZZTIME})"
 go test ./internal/service/ -run=^$ -fuzz=FuzzDecodeSubmit -fuzztime="$DIFF_FUZZTIME"
 go test ./internal/service/ -run=^$ -fuzz=FuzzDecodeAdmit -fuzztime="$FUZZTIME"
 
-echo "==> non-test Go lines (the figure ROADMAP.md tracks)"
+echo "==> non-test Go lines and core.Options fields (the figures ROADMAP.md tracks)"
 find . -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
+go test -count=1 -v -run '^TestOptionsFieldBudget$' ./internal/core/ | grep -o 'core.Options fields: [0-9]*'
 
 echo "==> OK"
