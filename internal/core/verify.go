@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -66,11 +68,11 @@ func buildSlotIndex(sched *model.Schedule) slotIndex {
 		src := sched.SlotsOn(lid)
 		buf := make([]model.FrameSlot, len(src))
 		copy(buf, src)
-		sort.Slice(buf, func(i, j int) bool {
-			if buf[i].Stream != buf[j].Stream {
-				return buf[i].Stream < buf[j].Stream
+		slices.SortFunc(buf, func(a, b model.FrameSlot) int {
+			if c := cmp.Compare(a.Stream, b.Stream); c != 0 {
+				return c
 			}
-			return buf[i].Index < buf[j].Index
+			return cmp.Compare(a.Index, b.Index)
 		})
 		m := make(map[model.StreamID][]model.FrameSlot)
 		start := 0
@@ -190,34 +192,135 @@ func verifyStream(network *model.Network, s *model.Stream, unit time.Duration, i
 // verifyOverlaps checks constraint (5) on every link: no two slots of
 // different streams may overlap in any period instance unless the pair is
 // allowed to (same-parent possibilities, or ECT over sharing TCT).
+//
+// Each link is swept, not compared pair by pair. Slots of one period meet
+// only in their single instance, so each period class is sorted by offset
+// and scanned; two classes P and Q meet as FrameSlot.Overlaps defines it —
+// every instance of either within LCM(P, Q), on the unrolled line, no
+// wrap-around — so their instances are laid out over that span and swept
+// together. A slot's stream is looked up once per link. Violations come out
+// ordered by the two slots' positions in the link's table. This is the
+// verifier's own code on purpose: the placer's slotTable answers the same
+// question while it builds the schedule, and an oracle sharing it would
+// repeat its mistakes.
 func verifyOverlaps(res *Result) []Violation {
 	var out []Violation
 	sched := res.Schedule
+	var (
+		slots   []model.FrameSlot // the link being swept
+		streams []*model.Stream   // by slot position, nil when unknown
+		classes []int64           // distinct periods, in order of appearance
+		spans   []span
+		found   []slotPair
+	)
+	// hit takes two slots that overlap in time and keeps the pairs
+	// constraint (5) forbids.
+	hit := func(i, j int) {
+		a, b := &slots[i], &slots[j]
+		sa, sb := streams[i], streams[j]
+		if a.Stream == b.Stream || sa == nil || sb == nil ||
+			slotsCanOverlap(sa, sb, a.Reserve, b.Reserve, res.SharedReserves) {
+			return
+		}
+		found = append(found, slotPair{min(i, j), max(i, j), false})
+	}
+	// Laid out over LCM(P, Q), two slots of one class can meet in instances
+	// their own period never pairs up; only the cross-class pairs count.
+	hitAcross := func(i, j int) {
+		if slots[i].Period != slots[j].Period {
+			hit(i, j)
+		}
+	}
 	for _, lid := range sched.Links() {
-		slots := sched.SlotsOn(lid)
-		for i := 0; i < len(slots); i++ {
+		slots = sched.SlotsOn(lid)
+		streams, classes, found = streams[:0], classes[:0], found[:0]
+		unknown := false
+		for i := range slots {
+			s := sched.Streams[slots[i].Stream]
+			streams = append(streams, s)
+			unknown = unknown || s == nil
+			if slots[i].Period > 0 && !slices.Contains(classes, slots[i].Period) {
+				classes = append(classes, slots[i].Period)
+			}
+		}
+		for p, P := range classes {
+			spans = sweepSpans(appendInstances(spans[:0], slots, P, P), hit)
+			for _, Q := range classes[p+1:] {
+				hyper := model.LCM(P, Q)
+				spans = appendInstances(spans[:0], slots, P, hyper)
+				spans = sweepSpans(appendInstances(spans, slots, Q, hyper), hitAcross)
+			}
+		}
+		// A slot of a stream the schedule does not define breaks every pair
+		// it is part of, overlapping or not.
+		for i := 0; unknown && i < len(slots); i++ {
 			for j := i + 1; j < len(slots); j++ {
-				a, b := &slots[i], &slots[j]
-				if a.Stream == b.Stream {
-					continue
-				}
-				sa, sb := sched.Streams[a.Stream], sched.Streams[b.Stream]
-				if sa == nil || sb == nil {
-					out = append(out, Violation{Kind: "overlap", Stream: a.Stream, Link: lid,
-						Detail: "slot references unknown stream"})
-					continue
-				}
-				if slotsCanOverlap(sa, sb, a.Reserve, b.Reserve, res.SharedReserves) {
-					continue
-				}
-				if a.Overlaps(b) {
-					out = append(out, Violation{Kind: "overlap", Stream: a.Stream, Link: lid,
-						Detail: fmt.Sprintf("frame %d overlaps stream %s frame %d", a.Index, b.Stream, b.Index)})
+				if (streams[i] == nil || streams[j] == nil) && slots[i].Stream != slots[j].Stream {
+					found = append(found, slotPair{i, j, true})
 				}
 			}
 		}
+
+		slices.SortFunc(found, func(x, y slotPair) int {
+			if c := cmp.Compare(x.i, y.i); c != 0 {
+				return c
+			}
+			return cmp.Compare(x.j, y.j)
+		})
+		// Two slots of different periods can meet in several instances.
+		found = slices.Compact(found)
+		for _, f := range found {
+			a, b := &slots[f.i], &slots[f.j]
+			detail := "slot references unknown stream"
+			if !f.unknown {
+				detail = fmt.Sprintf("frame %d overlaps stream %s frame %d", a.Index, b.Stream, b.Index)
+			}
+			out = append(out, Violation{Kind: "overlap", Stream: a.Stream, Link: lid, Detail: detail})
+		}
 	}
 	return out
+}
+
+// slotPair is two positions i < j in a link's slot table that break
+// constraint (5); unknown marks the pairs with an undefined stream.
+type slotPair struct {
+	i, j    int
+	unknown bool
+}
+
+// span is one instance of a slot on the unrolled timeline.
+type span struct {
+	start, end int64
+	slot       int
+}
+
+// appendInstances appends every instance within [0, hyper) of the slots
+// whose period is period.
+func appendInstances(spans []span, slots []model.FrameSlot, period, hyper int64) []span {
+	for i := range slots {
+		if fs := &slots[i]; fs.Period == period {
+			for at := fs.Offset; at < fs.Offset+hyper; at += period {
+				spans = append(spans, span{start: at, end: at + fs.Length, slot: i})
+			}
+		}
+	}
+	return spans
+}
+
+// sweepSpans calls hit for every two spans of different slots that overlap
+// in time: sorted by start, a span can only meet the followers that start
+// before it ends. It returns spans for reuse.
+func sweepSpans(spans []span, hit func(i, j int)) []span {
+	slices.SortFunc(spans, func(a, b span) int { return cmp.Compare(a.start, b.start) })
+	for i := range spans {
+		a := &spans[i]
+		for k := i + 1; k < len(spans) && spans[k].start < a.end; k++ {
+			if b := &spans[k]; a.start < b.end && a.slot != b.slot {
+				hit(a.slot, b.slot)
+			}
+		}
+	}
+	return spans
 }
 
 // TCTWorstCase returns the schedule-implied worst-case latency of a TCT

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -43,6 +44,86 @@ func benchVerifyResult(tb testing.TB) (*model.Network, *Result) {
 // and re-sorted a fresh slice per (stream, link) pair.
 func BenchmarkVerifyAllocs(b *testing.B) {
 	n, res := benchVerifyResult(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if vs := Verify(n, res); len(vs) != 0 {
+			b.Fatalf("unexpected violations: %v", vs[0])
+		}
+	}
+}
+
+// benchDenseResult schedules an instance shaped like the benchmark's
+// dense-40 workload (paper Sec. VI-C): four switches in a line with three
+// devices each, 40 sharing TCT streams of two MTUs over periods of 5, 10 and
+// 20 ms between random devices, one 5-MTU ECT stream end to end expanded to
+// 64 possibilities, spread placement, shared reserves. The busy links carry
+// a few hundred slots in three period classes — the regime where the
+// verifier's overlap check, not its per-stream checks, is the cost.
+func benchDenseResult(tb testing.TB) (*model.Network, *Result) {
+	tb.Helper()
+	n := model.NewNetwork()
+	var devices []model.NodeID
+	for sw := 1; sw <= 4; sw++ {
+		id := model.NodeID(fmt.Sprintf("SW%d", sw))
+		if err := n.AddSwitch(id); err != nil {
+			tb.Fatal(err)
+		}
+		if sw > 1 {
+			if err := n.AddLink(model.NodeID(fmt.Sprintf("SW%d", sw-1)), id, model.LinkConfig{Bandwidth: 100_000_000}); err != nil {
+				tb.Fatal(err)
+			}
+		}
+		for k := 0; k < 3; k++ {
+			d := model.NodeID(fmt.Sprintf("D%d", len(devices)+1))
+			if err := n.AddDevice(d); err != nil {
+				tb.Fatal(err)
+			}
+			if err := n.AddLink(d, id, model.LinkConfig{Bandwidth: 100_000_000}); err != nil {
+				tb.Fatal(err)
+			}
+			devices = append(devices, d)
+		}
+	}
+	path := func(src, dst model.NodeID) []model.LinkID {
+		p, err := n.ShortestPath(src, dst)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return p
+	}
+	rng := rand.New(rand.NewSource(40))
+	p := &Problem{Network: n}
+	for i := 0; i < 40; i++ {
+		src := rng.Intn(len(devices))
+		dst := (src + 1 + rng.Intn(len(devices)-1)) % len(devices)
+		period := []time.Duration{5, 10, 20}[i%3] * time.Millisecond
+		p.TCT = append(p.TCT, &model.Stream{
+			ID:          model.StreamID(fmt.Sprintf("tct%02d", i+1)),
+			Path:        path(devices[src], devices[dst]),
+			Period:      period,
+			E2E:         2 * period,
+			LengthBytes: 2 * model.MTUBytes,
+			Type:        model.StreamDet,
+			Share:       true,
+		})
+	}
+	p.ECT = []*model.ECT{{ID: "ect", Path: path("D1", "D12"), E2E: 10 * time.Millisecond,
+		LengthBytes: 5 * model.MTUBytes, MinInterevent: 10 * time.Millisecond}}
+	p.Opts = Options{Backend: BackendPlacer, NProb: 64, SpreadFrames: true, SharedReserves: true}
+	res, err := Schedule(p)
+	if err != nil {
+		tb.Fatalf("Schedule: %v", err)
+	}
+	return n, res
+}
+
+// BenchmarkVerifyDense is Verify where the overlap check dominates; the
+// pairwise check it replaced is verifyOverlapsPairwise in verify_test.go.
+func BenchmarkVerifyDense(b *testing.B) {
+	n, res := benchDenseResult(b)
+	links := res.Schedule.Links()
+	b.ReportMetric(float64(res.Schedule.NumSlots())/float64(len(links)), "slots/link")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -83,6 +85,109 @@ func TestVerifyDetectsOverlap(t *testing.T) {
 	s1 := res.Schedule.StreamSlots("s1", link)
 	mutateSlot(t, res, "s2", link, 0, func(fs *model.FrameSlot) { fs.Offset = s1[0].Offset })
 	wantViolation(t, n, res, "overlap")
+}
+
+// verifyOverlapsPairwise is the overlap check as it was before the sweep:
+// every pair of slots on a link, FrameSlot.Overlaps on each. It stays here
+// as the reference the sweep is held to.
+func verifyOverlapsPairwise(res *Result) []Violation {
+	var out []Violation
+	sched := res.Schedule
+	for _, lid := range sched.Links() {
+		slots := sched.SlotsOn(lid)
+		for i := 0; i < len(slots); i++ {
+			for j := i + 1; j < len(slots); j++ {
+				a, b := &slots[i], &slots[j]
+				if a.Stream == b.Stream {
+					continue
+				}
+				sa, sb := sched.Streams[a.Stream], sched.Streams[b.Stream]
+				if sa == nil || sb == nil {
+					out = append(out, Violation{Kind: "overlap", Stream: a.Stream, Link: lid,
+						Detail: "slot references unknown stream"})
+					continue
+				}
+				if slotsCanOverlap(sa, sb, a.Reserve, b.Reserve, res.SharedReserves) {
+					continue
+				}
+				if a.Overlaps(b) {
+					out = append(out, Violation{Kind: "overlap", Stream: a.Stream, Link: lid,
+						Detail: fmt.Sprintf("frame %d overlaps stream %s frame %d", a.Index, b.Stream, b.Index)})
+				}
+			}
+		}
+	}
+	return out
+}
+
+// TestVerifyOverlapsSweepMatchesPairwise holds the sweep to the pairwise
+// reference on random slot tables: mixed periods (so pairs meet through
+// several instances), offsets and lengths that run past the period or are
+// degenerate, every combination of the share / reserve / possibility flags
+// the overlap exception reads, slots of streams the schedule does not
+// define, sorted and unsorted tables. Same violations, same order.
+func TestVerifyOverlapsSweepMatchesPairwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	periods := []int64{100, 200, 300, 400, 150}
+	links := []model.LinkID{{From: "A", To: "B"}, {From: "B", To: "C"}, {From: "B", To: "A"}}
+	var clean, violated, unknown int
+	for round := 0; round < 600; round++ {
+		sched := model.NewSchedule()
+		var ids []model.StreamID
+		for k := 0; k < 2+rng.Intn(10); k++ {
+			s := &model.Stream{ID: model.StreamID(fmt.Sprintf("s%02d", k)), Type: model.StreamDet,
+				Share: rng.Intn(2) == 0, Parent: model.StreamID(fmt.Sprintf("e%d", rng.Intn(2)))}
+			if rng.Intn(3) == 0 {
+				s.Type, s.Share = model.StreamProb, false
+			}
+			ids = append(ids, s.ID)
+			if rng.Intn(12) != 0 { // else: slots of a stream nobody defined
+				sched.AddStream(s)
+			}
+		}
+		// Few slots spread thin stay clean; many on a short table collide.
+		density := 1 + rng.Intn(40)
+		for _, lid := range links[:1+rng.Intn(len(links))] {
+			classes := periods[:1+rng.Intn(len(periods))]
+			for k := 0; k < density; k++ {
+				period := classes[rng.Intn(len(classes))]
+				fs := model.FrameSlot{
+					Stream: ids[rng.Intn(len(ids))], Link: lid, Index: rng.Intn(4),
+					Offset: rng.Int63n(period+30) - 10, Length: rng.Int63n(25), Period: period,
+					Epoch: rng.Int63n(2), Reserve: rng.Intn(3) == 0,
+				}
+				if rng.Intn(8) == 0 {
+					fs.Length = -fs.Length
+				}
+				sched.AddSlot(fs)
+			}
+		}
+		if rng.Intn(4) != 0 {
+			sched.Sort()
+		}
+		res := &Result{Schedule: sched, SharedReserves: rng.Intn(2) == 0}
+
+		want := verifyOverlapsPairwise(res)
+		got := verifyOverlaps(res)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d: sweep reports %d violations, pairwise %d\n sweep    %v\n pairwise %v",
+				round, len(got), len(want), got, want)
+		}
+		if again := verifyOverlaps(res); !reflect.DeepEqual(again, got) {
+			t.Fatalf("round %d: the sweep is not deterministic", round)
+		}
+		switch {
+		case len(want) == 0:
+			clean++
+		case strings.Contains(fmt.Sprint(want), "unknown stream"):
+			unknown++
+		default:
+			violated++
+		}
+	}
+	if clean < 20 || violated < 20 || unknown < 20 {
+		t.Fatalf("generator is lopsided: %d clean, %d overlapping, %d with unknown streams", clean, violated, unknown)
+	}
 }
 
 func TestVerifyDetectsAdjacent(t *testing.T) {

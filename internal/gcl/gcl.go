@@ -10,8 +10,10 @@
 package gcl
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -229,7 +231,7 @@ func synthesizeLink(sched *model.Schedule, lid model.LinkID, cfg Config) (*PortG
 			}
 		}
 	}
-	sort.Slice(events, func(i, j int) bool { return events[i].at < events[j].at })
+	slices.SortFunc(events, func(a, b event) int { return cmp.Compare(a.at, b.at) })
 
 	// Sweep: track per-priority open counts, emit entries between
 	// boundaries.

@@ -1,7 +1,9 @@
 package model
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 )
@@ -106,14 +108,14 @@ func (s *Schedule) AddSlot(fs FrameSlot) { s.slots[fs.Link] = append(s.slots[fs.
 // Sort orders every link's slots by offset (ties by stream then index).
 func (s *Schedule) Sort() {
 	for _, slots := range s.slots {
-		sort.Slice(slots, func(i, j int) bool {
-			if slots[i].Offset != slots[j].Offset {
-				return slots[i].Offset < slots[j].Offset
+		slices.SortFunc(slots, func(a, b FrameSlot) int {
+			if c := cmp.Compare(a.Offset, b.Offset); c != 0 {
+				return c
 			}
-			if slots[i].Stream != slots[j].Stream {
-				return slots[i].Stream < slots[j].Stream
+			if c := cmp.Compare(a.Stream, b.Stream); c != 0 {
+				return c
 			}
-			return slots[i].Index < slots[j].Index
+			return cmp.Compare(a.Index, b.Index)
 		})
 	}
 }

@@ -109,7 +109,7 @@ func TestDeploymentExport(t *testing.T) {
 	if !strings.Contains(buf.String(), "\"schedule\"") {
 		t.Fatal("JSON missing schedule key")
 	}
-	if GateMaskOf(exp.GCLs[0].Entries[0]) == 0 && len(exp.GCLs[0].Entries) == 1 {
+	if exp.GCLs[0].Entries[0].Gates == 0 && len(exp.GCLs[0].Entries) == 1 {
 		t.Fatal("suspicious all-closed single entry")
 	}
 }

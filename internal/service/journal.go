@@ -6,8 +6,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
+	"strconv"
 	"sync"
+
+	"etsn/internal/qcc"
 )
 
 // The job journal is the daemon's write-ahead log: every job transition is
@@ -62,6 +66,7 @@ type journal struct {
 	f      *os.File
 	seq    int64
 	closed bool
+	buf    []byte // the last line written, reused for the next
 }
 
 const journalName = "journal.jsonl"
@@ -90,11 +95,12 @@ func (j *journal) append(rec journalRecord) error {
 	}
 	j.seq++
 	rec.Seq = j.seq
-	data, err := json.Marshal(rec)
+	data, err := appendRecord(j.buf[:0], &rec)
 	if err != nil {
 		return fmt.Errorf("journal encode: %w", err)
 	}
 	data = append(data, '\n')
+	j.buf = data
 	if _, err := j.f.Write(data); err != nil {
 		return fmt.Errorf("journal write: %w", err)
 	}
@@ -102,6 +108,71 @@ func (j *journal) append(rec journalRecord) error {
 		return fmt.Errorf("journal sync: %w", err)
 	}
 	return nil
+}
+
+// appendRecord appends rec as json.Marshal(rec) would write it, byte for
+// byte (replay stays encoding/json). The envelope is written by hand so that
+// Export and Effective can be spliced in: both are compact, HTML-escaped
+// JSON this process encoded itself (qcc.Deployment.AppendJSON, json.Marshal
+// of the effective config), and json.Marshal would scan, validate and
+// re-compact every byte of them again under the journal lock. Payload is
+// the client's bytes and still takes that pass.
+func appendRecord(dst []byte, rec *journalRecord) ([]byte, error) {
+	dst = slices.Grow(dst, 256+len(rec.Payload)+len(rec.Export)+len(rec.Effective))
+	dst = strconv.AppendInt(append(dst, `{"seq":`...), rec.Seq, 10)
+	dst = qcc.AppendJSONString(append(dst, `,"kind":`...), rec.Kind)
+	dst = qcc.AppendJSONString(append(dst, `,"job":`...), rec.Job)
+	dst = appendStringField(dst, `,"tenant":`, rec.Tenant)
+	dst = appendStringField(dst, `,"job_kind":`, string(rec.JobKind))
+	if len(rec.Payload) > 0 {
+		payload, err := json.Marshal(rec.Payload)
+		if err != nil {
+			return nil, err
+		}
+		dst = append(append(dst, `,"payload":`...), payload...)
+	}
+	if rec.DeadlineMs != 0 {
+		dst = strconv.AppendInt(append(dst, `,"deadline_ms":`...), rec.DeadlineMs, 10)
+	}
+	if rec.Version != 0 {
+		dst = strconv.AppendInt(append(dst, `,"version":`...), int64(rec.Version), 10)
+	}
+	if len(rec.Export) > 0 {
+		dst = append(append(dst, `,"export":`...), rec.Export...)
+	}
+	if len(rec.Effective) > 0 {
+		dst = append(append(dst, `,"effective":`...), rec.Effective...)
+	}
+	dst = appendStringsField(dst, `,"changed_ports":`, rec.Changed)
+	dst = appendStringsField(dst, `,"shed_tct":`, rec.ShedTCT)
+	dst = appendStringsField(dst, `,"shed_be":`, rec.ShedBE)
+	dst = appendStringField(dst, `,"class":`, rec.Class)
+	dst = appendStringField(dst, `,"error":`, rec.Error)
+	return append(dst, '}'), nil
+}
+
+// appendStringField and appendStringsField write `omitempty` fields.
+func appendStringField(dst []byte, key, v string) []byte {
+	if v == "" {
+		return dst
+	}
+	return qcc.AppendJSONString(append(dst, key...), v)
+}
+
+func appendStringsField(dst []byte, key string, vs []string) []byte {
+	if len(vs) == 0 {
+		return dst
+	}
+	dst = append(dst, key...)
+	for i, v := range vs {
+		if i == 0 {
+			dst = append(dst, '[')
+		} else {
+			dst = append(dst, ',')
+		}
+		dst = qcc.AppendJSONString(dst, v)
+	}
+	return append(dst, ']')
 }
 
 func (j *journal) close() {

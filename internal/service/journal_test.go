@@ -8,6 +8,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"etsn/internal/qcc"
 )
 
 // TestJournalRoundTrip checks the basic WAL contract: append records, replay
@@ -245,5 +247,57 @@ func TestJournalReplayTruncationProperty(t *testing.T) {
 				t.Fatalf("seed %d cut %d: jobs %d want %d", seed, cut, len(st.jobs), wantJobs)
 			}
 		}
+	}
+}
+
+// TestJournalLineMatchesEncodingJSON: the hand-written record envelope is
+// json.Marshal(rec) byte for byte, for one record of every kind — so a
+// journal written by this encoder replays on a build that marshals records
+// with encoding/json and vice versa. The strings are hostile on purpose
+// (tenant names and error texts are not ours), the payload is a client's
+// (indented, unescaped '<'), the export is a real deployment's.
+func TestJournalLineMatchesEncodingJSON(t *testing.T) {
+	cfg, err := qcc.Parse([]byte(planConfig))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dep, err := qcc.Compute(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	effective, err := json.Marshal(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const hostile = "a\"b\\c<d>&e\x00\x1f\b\u2028\u2029\xff é"
+	for _, rec := range []journalRecord{
+		{Seq: 1, Kind: "submitted", Job: "j-1", Tenant: hostile, JobKind: KindPlan,
+			Payload: json.RawMessage("{\n  \"note\": \"<&> \",\n  \"n\": [1, 2]\n}"), DeadlineMs: 30000},
+		{Seq: 2, Kind: "submitted", Job: "j-2", Tenant: "acme", JobKind: KindAdmit, Payload: json.RawMessage(admitBody)},
+		{Seq: 3, Kind: "started", Job: "j-1"},
+		{Seq: 4, Kind: "done", Job: "j-1", Tenant: hostile, Version: 7, Export: dep.AppendJSON(nil),
+			Effective: effective, Changed: []string{"D1->SW1", hostile}, ShedTCT: []string{"t<1>"}, ShedBE: []string{"b1", "b2"}},
+		{Seq: 5, Kind: "done", Job: "j-2", Tenant: "acme", Version: 1, Export: json.RawMessage(`{}`),
+			Effective: json.RawMessage(`{}`), Changed: []string{}},
+		{Seq: 6, Kind: "failed", Job: "j-3", Tenant: "acme", Class: ClassInfeasible.String(), Error: "no <schedule>: " + hostile},
+		{Seq: 1 << 40, Kind: "parked", Job: "j-4", Tenant: "acme"},
+		{},
+	} {
+		want, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := appendRecord(nil, &rec)
+		if err != nil {
+			t.Fatalf("%s: %v", rec.Kind, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s record:\n got  %.300s\n want %.300s", rec.Kind, got, want)
+		}
+	}
+
+	// A payload that is not JSON is refused, as json.Marshal refuses it.
+	if _, err := appendRecord(nil, &journalRecord{Kind: "submitted", Payload: json.RawMessage(`{"a":`)}); err == nil {
+		t.Fatal("malformed payload encoded")
 	}
 }

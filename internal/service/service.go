@@ -20,6 +20,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -141,7 +142,14 @@ type tenant struct {
 	inflight  int // queued + running jobs (admission control)
 	versions  []*PlanVersion
 	effective []byte // cumulative config JSON producing the latest version
-	ctrl      *faults.Controller
+	// programs are the gate programs of the latest version, the base of the
+	// next commit's rollout set. Nil after a journal replay until the first
+	// commit, which parses them out of the stored export.
+	programs map[model.LinkID]*gcl.PortGCL
+	ctrl     *faults.Controller
+
+	// exportBuf is encodeExport's scratch, guarded by execMu.
+	exportBuf []byte
 }
 
 // Server is the daemon core.
@@ -781,10 +789,6 @@ func (s *Server) commitPlan(t *tenant, job *Job, dep *qcc.Deployment, shed map[s
 	if err != nil {
 		return err
 	}
-	export, err := marshalExport(dep.Export())
-	if err != nil {
-		return err
-	}
 
 	ctrl, err := faults.NewController(dep.Problem, dep.Result, dep.GCLs, nil)
 	if err != nil {
@@ -792,17 +796,19 @@ func (s *Server) commitPlan(t *tenant, job *Job, dep *qcc.Deployment, shed map[s
 	}
 	ctrl.Obs = s.reg
 
-	shedTCT := sortedKeys(shed)
+	pv := &PlanVersion{JobID: job.ID, Export: t.encodeExport(dep), ShedTCT: sortedKeys(shed), ShedBE: shedBE}
 	t.mu.Lock()
-	prev := tailExport(t.versions)
-	version := nextVersion(t.versions)
-	changed, _ := changedPortsVs(prev, export)
-	pv := &PlanVersion{
-		Version: version, JobID: job.ID, Export: export,
-		ChangedPorts: changed, ShedTCT: shedTCT, ShedBE: shedBE,
+	prev, err := t.deployedPrograms()
+	if err != nil {
+		t.mu.Unlock()
+		return err
 	}
+	pv.Version = nextVersion(t.versions)
+	// No previous version: every port changed, the first rollout.
+	pv.ChangedPorts = linkStrings(gcl.ChangedPorts(prev, dep.GCLs))
 	t.versions = append(t.versions, pv)
 	t.effective = effective
+	t.programs = dep.GCLs
 	t.ctrl = ctrl
 	t.mu.Unlock()
 
@@ -838,24 +844,17 @@ func (s *Server) commitAdmit(t *tenant, job *Job, req *AdmitRequest, rec *faults
 	}
 	dep := &qcc.Deployment{Network: rec.Problem.Network, Problem: rec.Problem,
 		Result: rec.Result, GCLs: rec.GCLs}
-	export, err := marshalExport(dep.Export())
-	if err != nil {
-		return err
+	pv := &PlanVersion{
+		JobID: job.ID, Export: t.encodeExport(dep),
+		ChangedPorts: linkStrings(rec.ChangedPorts), ShedTCT: shedTCT, ShedBE: shedBE,
+		Incremental: rec.Incremental,
 	}
 
 	t.mu.Lock()
-	version := nextVersion(t.versions)
-	changed := make([]string, 0, len(rec.ChangedPorts))
-	for _, lid := range rec.ChangedPorts {
-		changed = append(changed, lid.String())
-	}
-	pv := &PlanVersion{
-		Version: version, JobID: job.ID, Export: export,
-		ChangedPorts: changed, ShedTCT: shedTCT, ShedBE: shedBE,
-		Incremental: rec.Incremental,
-	}
+	pv.Version = nextVersion(t.versions)
 	t.versions = append(t.versions, pv)
 	t.effective = newEffective
+	t.programs = rec.GCLs
 	t.mu.Unlock()
 
 	return s.finishJobDone(job, pv, newEffective)
@@ -977,14 +976,6 @@ func (s *Server) Shutdown() {
 	s.journal.close()
 }
 
-func marshalExport(exp *qcc.DeploymentExport) (json.RawMessage, error) {
-	data, err := json.Marshal(exp)
-	if err != nil {
-		return nil, fmt.Errorf("plan export: %w", err)
-	}
-	return data, nil
-}
-
 func nextVersion(versions []*PlanVersion) int {
 	if len(versions) == 0 {
 		return 1
@@ -992,33 +983,40 @@ func nextVersion(versions []*PlanVersion) int {
 	return versions[len(versions)-1].Version + 1
 }
 
-func tailExport(versions []*PlanVersion) json.RawMessage {
-	if len(versions) == 0 {
-		return nil
-	}
-	return versions[len(versions)-1].Export
+// encodeExport returns dep's export document at its exact size. A plan
+// version keeps it for as long as the daemon runs, and AppendJSON sizes a
+// fresh buffer by estimate, so it encodes into the tenant's scratch buffer
+// and the version gets a copy. The caller is the tenant's running job, which
+// holds t.execMu.
+func (t *tenant) encodeExport(dep *qcc.Deployment) json.RawMessage {
+	t.exportBuf = dep.AppendJSON(t.exportBuf[:0])
+	return bytes.Clone(t.exportBuf)
 }
 
-// changedPortsVs lists ports whose gate program differs between two stored
-// exports (nil prev means every port changed — the first rollout).
-func changedPortsVs(prev, next json.RawMessage) ([]string, error) {
-	nextGCLs, _, err := exportPrograms(next)
+// deployedPrograms returns the gate programs of the tenant's latest plan
+// version, nil when it has none. The caller holds t.mu. They are parsed out
+// of the stored export only on the first commit after a journal replay; an
+// export that no longer reads back is the daemon's own state gone bad, so
+// the error carries no input-class sentinel and classifies as internal.
+func (t *tenant) deployedPrograms() (map[model.LinkID]*gcl.PortGCL, error) {
+	if t.programs != nil || len(t.versions) == 0 {
+		return t.programs, nil
+	}
+	tail := t.versions[len(t.versions)-1]
+	programs, _, err := exportPrograms(tail.Export)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("tenant %q: stored export of plan version %d is unreadable: %v",
+			t.name, tail.Version, err)
 	}
-	var prevGCLs map[model.LinkID]*gcl.PortGCL
-	if len(prev) > 0 {
-		prevGCLs, _, err = exportPrograms(prev)
-		if err != nil {
-			return nil, err
-		}
-	}
-	changed := gcl.ChangedPorts(prevGCLs, nextGCLs)
-	out := make([]string, 0, len(changed))
-	for _, lid := range changed {
+	return programs, nil
+}
+
+func linkStrings(lids []model.LinkID) []string {
+	out := make([]string, 0, len(lids))
+	for _, lid := range lids {
 		out = append(out, lid.String())
 	}
-	return out, nil
+	return out
 }
 
 func sortedKeys(set map[string]bool) []string {
@@ -1026,16 +1024,6 @@ func sortedKeys(set map[string]bool) []string {
 	for k := range set {
 		out = append(out, k)
 	}
-	sortStrings(out)
+	slices.Sort(out)
 	return out
-}
-
-// sortStrings is a tiny insertion sort; shed sets are small and this keeps
-// the import list lean.
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }

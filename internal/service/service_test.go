@@ -1,7 +1,11 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -363,5 +367,112 @@ func TestServiceRestartServesPlansWithoutResolving(t *testing.T) {
 	snap := waitJob(t, job2)
 	if snap.State != JobDone || snap.Version != 2 {
 		t.Fatalf("admit after restart: %+v", snap)
+	}
+}
+
+// TestServiceRolloutSetAcrossRestart: a re-plan's rollout set is the diff
+// against the previous version's gate programs — held in memory within one
+// process, parsed out of the stored export on the first commit after a
+// journal replay — and the two bases agree: re-planning the same config
+// changes no port either way, and a different config names the same ports.
+func TestServiceRolloutSetAcrossRestart(t *testing.T) {
+	plan := func(s *Server, doc string) Snapshot {
+		t.Helper()
+		job, err := s.Submit("acme", KindPlan, []byte(doc))
+		if err != nil {
+			t.Fatalf("Submit: %v", err)
+		}
+		return waitJob(t, job)
+	}
+	changedPorts := func(s *Server, version int) []string {
+		t.Helper()
+		pv, err := s.Plan("acme", version)
+		if err != nil {
+			t.Fatalf("Plan %d: %v", version, err)
+		}
+		return pv.ChangedPorts
+	}
+	smaller := strings.Replace(planConfig, `"payload_bytes": 4500`, `"payload_bytes": 3000`, 1)
+
+	dir := t.TempDir()
+	s := newTestServer(t, Config{DataDir: dir})
+	for _, doc := range []string{planConfig, planConfig, smaller} {
+		if snap := plan(s, doc); snap.State != JobDone {
+			t.Fatalf("plan: %+v", snap)
+		}
+	}
+	if got := changedPorts(s, 2); len(got) != 0 {
+		t.Fatalf("same config re-planned in memory changed %v", got)
+	}
+	inMemory := changedPorts(s, 3)
+	if len(inMemory) == 0 {
+		t.Fatal("a smaller t1 changed no port")
+	}
+	s.Shutdown()
+
+	// After the restart the base is version 3's stored export.
+	s2 := newTestServer(t, Config{DataDir: dir})
+	defer s2.Shutdown()
+	for _, doc := range []string{smaller, planConfig} {
+		if snap := plan(s2, doc); snap.State != JobDone {
+			t.Fatalf("plan after restart: %+v", snap)
+		}
+	}
+	if got := changedPorts(s2, 4); len(got) != 0 {
+		t.Fatalf("same config re-planned after a replay changed %v", got)
+	}
+	if got := changedPorts(s2, 5); !slices.Equal(got, inMemory) {
+		t.Fatalf("rollout set back to the first config = %v, the way there was %v", got, inMemory)
+	}
+}
+
+// TestServiceCorruptStoredExportFailsJob: when the tail version's export in
+// a replayed journal no longer yields gate programs, the next plan has no
+// base to diff against. That used to be swallowed (an empty rollout set on a
+// done job); it is a job failure of class internal — the daemon's own state
+// is bad, not the client's request.
+func TestServiceCorruptStoredExportFailsJob(t *testing.T) {
+	dir := t.TempDir()
+	s := newTestServer(t, Config{DataDir: dir})
+	job, err := s.Submit("acme", KindPlan, []byte(planConfig))
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	if snap := waitJob(t, job); snap.State != JobDone {
+		t.Fatalf("plan: %+v", snap)
+	}
+	s.Shutdown()
+
+	// Still one JSON value per line, so the journal replays; no longer a
+	// deployment (gate programs need a positive cycle).
+	path := filepath.Join(dir, journalName)
+	log, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	corrupt := bytes.ReplaceAll(log, []byte(`"cycle_ns":`), []byte(`"cycle_ns":-`))
+	if bytes.Equal(corrupt, log) {
+		t.Fatal("journal carries no gate program to corrupt")
+	}
+	if err := os.WriteFile(path, corrupt, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := newTestServer(t, Config{DataDir: dir})
+	defer s2.Shutdown()
+	if _, err := s2.Plan("acme", 1); err != nil {
+		t.Fatalf("the stored version must still be served as it is: %v", err)
+	}
+	job2, err := s2.Submit("acme", KindPlan, []byte(planConfig))
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	snap := waitJob(t, job2)
+	if snap.State != JobFailed || snap.Class != ClassInternal.String() ||
+		!strings.Contains(snap.Error, "stored export of plan version 1") {
+		t.Fatalf("plan over a corrupt stored export: %+v", snap)
+	}
+	if pvs, _ := s2.Plans("acme"); len(pvs) != 1 {
+		t.Fatalf("the failed plan left %d versions, want the 1 replayed", len(pvs))
 	}
 }

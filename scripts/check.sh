@@ -134,6 +134,7 @@ go build -o "$BENCHDIR/daemongate" ./scripts/daemongate
 echo "==> fuzz smoke (${FUZZTIME} per target)"
 go test ./internal/qcc/ -run=^$ -fuzz=FuzzParse$ -fuzztime="$FUZZTIME"
 go test ./internal/qcc/ -run=^$ -fuzz=FuzzParseDeployment -fuzztime="$FUZZTIME"
+go test ./internal/qcc/ -run=^$ -fuzz=FuzzExportStreamIDs -fuzztime="$FUZZTIME"
 go test ./internal/smt/ -run=^$ -fuzz=FuzzSolve -fuzztime="$FUZZTIME"
 
 echo "==> differential fuzz smoke (CDCL vs reference, ${DIFF_FUZZTIME})"
