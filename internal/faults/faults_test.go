@@ -1,6 +1,7 @@
 package faults_test
 
 import (
+	"crypto/sha256"
 	"errors"
 	"reflect"
 	"testing"
@@ -247,23 +248,25 @@ func TestFlapConvergence(t *testing.T) {
 	}
 }
 
-// TestFlapSimulationConverges drives down/up cycles on a non-ECT ring link
-// through the simulator with live recovery: after the final restore, TCT
-// deadline misses stop and ECT latencies stay within the original bound.
-func TestFlapSimulationConverges(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-replan simulation")
-	}
+// flapRun is one simulation of the ring flap scenario: two down/up cycles
+// on a non-ECT ring link, each recovered live by the controller after a
+// detection delay.
+type flapRun struct {
+	cp                   *core.Problem
+	res                  *core.Result
+	ctrl                 *faults.Controller
+	raw                  *sim.Results
+	lastUp, lastRecovery time.Duration
+}
+
+func runFlap(t *testing.T) flapRun {
+	t.Helper()
 	scen, err := experiments.NewRingScenario(0.20, experiments.DefaultSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cp := scen.Problem().Core()
 	res, gcls := deploy(t, cp)
-	origBound, err := core.ECTWorstCaseBound(cp.Network, res, "ect")
-	if err != nil {
-		t.Fatal(err)
-	}
 	ctrl, err := faults.NewController(cp, res, gcls, scen.BE)
 	if err != nil {
 		t.Fatal(err)
@@ -335,6 +338,39 @@ func TestFlapSimulationConverges(t *testing.T) {
 	}
 	if recErr != nil {
 		t.Fatalf("recovery: %v", recErr)
+	}
+	return flapRun{cp: cp, res: res, ctrl: ctrl, raw: raw, lastUp: lastUp, lastRecovery: lastRecovery}
+}
+
+// TestFlapSimulationDeterministic repeats the flap scenario, whose live
+// recoveries Reprogram every port mid-run, and requires one Results hash:
+// the wakes a Reprogram schedules take their places in the event order in
+// link order, not in a map's iteration order.
+func TestFlapSimulationDeterministic(t *testing.T) {
+	var want [sha256.Size]byte
+	for i := 0; i < 10; i++ {
+		got := sha256.Sum256(runFlap(t).raw.Canonical())
+		if i == 0 {
+			want = got
+		} else if got != want {
+			t.Fatalf("run %d: Results hash %x, run 0 had %x", i, got, want)
+		}
+	}
+}
+
+// TestFlapSimulationConverges drives down/up cycles on a non-ECT ring link
+// through the simulator with live recovery: after the final restore, TCT
+// deadline misses stop and ECT latencies stay within the original bound.
+func TestFlapSimulationConverges(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-replan simulation")
+	}
+	run := runFlap(t)
+	cp, res, ctrl, raw := run.cp, run.res, run.ctrl, run.raw
+	lastUp, lastRecovery := run.lastUp, run.lastRecovery
+	origBound, err := core.ECTWorstCaseBound(cp.Network, res, "ect")
+	if err != nil {
+		t.Fatal(err)
 	}
 	if lastRecovery < lastUp {
 		t.Fatalf("final restore never recovered (last recovery %v, last up %v)", lastRecovery, lastUp)

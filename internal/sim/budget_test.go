@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -14,12 +15,12 @@ import (
 // on the Sec. VI-B testbed cell under each method: events processed per
 // transmission (a port wake-up that cannot do anything is not scheduled),
 // and heap allocations per processed event with instrumentation and
-// attribution off (deliveries, wakes and TCT emissions are value-typed
-// events, frames come from the run's arena).
+// attribution off (events are pointer-free table indexes, source ticks
+// included, and dead frames are recycled).
 func TestEventLoopBudgets(t *testing.T) {
 	const (
 		maxEventsPerTx    = 2.75 // 3.35 before wake coalescing, 2.38 measured
-		maxAllocsPerEvent = 0.3  // 1.40 with a closure per event, 0.13 measured
+		maxAllocsPerEvent = 0.1  // 1.40 with a closure per event, 0.13 with tick closures and no frame reuse
 	)
 	scen, err := experiments.NewTestbedScenario(0.75, experiments.DefaultSeed)
 	if err != nil {
@@ -47,6 +48,8 @@ func TestEventLoopBudgets(t *testing.T) {
 	if transmissions == 0 {
 		t.Fatal("no transmissions counted")
 	}
+	t.Logf("%.2f events per transmission, %.3f allocations per event",
+		float64(events)/float64(transmissions), allocs/float64(events))
 	if ratio := float64(events) / float64(transmissions); ratio > maxEventsPerTx {
 		t.Errorf("%d events for %d transmissions = %.2f per transmission, budget %.2f",
 			events, transmissions, ratio, maxEventsPerTx)
@@ -57,10 +60,37 @@ func TestEventLoopBudgets(t *testing.T) {
 	}
 }
 
-// TestEventSizeBudget pins the size of an event-heap entry: every push and
-// pop copies one per heap level.
+// TestEventSizeBudget pins the size of an event-heap entry, which every
+// push and pop copies once per heap level, and that it holds no pointers:
+// the heap's array then needs no write barriers and no garbage-collector
+// scan.
 func TestEventSizeBudget(t *testing.T) {
-	if sim.EventBytes > 48 {
-		t.Errorf("event is %d bytes, budget 48", sim.EventBytes)
+	if size := sim.EventType.Size(); size > 24 {
+		t.Errorf("event is %d bytes, budget 24", size)
 	}
+	if path, ok := pointerField(sim.EventType, "event"); ok {
+		t.Errorf("event holds a pointer at %s", path)
+	}
+}
+
+// pointerField returns the path of the first field of t that is or holds a
+// pointer.
+func pointerField(t reflect.Type, path string) (string, bool) {
+	switch t.Kind() {
+	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		return "", false
+	case reflect.Array:
+		return pointerField(t.Elem(), path+"[]")
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			f := t.Field(i)
+			if p, ok := pointerField(f.Type, path+"."+f.Name); ok {
+				return p, true
+			}
+		}
+		return "", false
+	}
+	return path + " (" + t.String() + ")", true
 }

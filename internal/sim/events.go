@@ -14,26 +14,29 @@ package sim
 
 import "time"
 
-// evKind selects how dispatch handles an event. The kinds that make up
-// nearly every event of a run carry their operand by value; faults, user
-// callbacks, source ticks and the TCT cycle tick are rare and stay closures.
+// evKind selects how dispatch handles an event and which per-run table its
+// operand indexes. Every kind but evFn names a table entry the run built
+// or appends to; only faults and After callbacks are closures.
 type evKind uint8
 
 const (
-	evFn      evKind = iota // run fn
-	evDeliver               // frame finished crossing the link at route[Hop]
-	evWake                  // port runs transmission selection
-	evEmit                  // TCT fragment frame is handed to its talker port
+	evFn      evKind = iota // run the closure in fns[op]
+	evDeliver               // frameTab[op] finished crossing the link at route[Hop]
+	evWake                  // portTab[op] runs transmission selection
+	evEmit                  // TCT fragment frameTab[op] is handed to its talker port
+	evTCT                   // talker loop tct[op] starts its next cycle
+	evBE                    // best-effort flow be[op] emits its next frame
+	evECT                   // event source ect[op] fires its next event
 )
 
-// event is one scheduled step; seq breaks ties at equal timestamps.
+// event is one scheduled step; seq breaks ties at equal timestamps. It
+// holds no pointers: the heap's array is never scanned by the garbage
+// collector and a sift moves 24 bytes per level without write barriers.
 type event struct {
-	at    time.Duration
-	seq   int64
-	kind  evKind
-	port  *outPort
-	frame *Frame
-	fn    func()
+	at   time.Duration
+	seq  int64
+	op   uint32
+	kind evKind
 }
 
 // before is the total order the event loop pops in: (at, seq), time then
@@ -50,7 +53,9 @@ func (e *event) before(o *event) bool {
 // event loop is the simulator's hottest path; compared to container/heap
 // over []*event this drops the per-event allocation and the
 // interface-dispatched Less/Swap calls, and the sift routines move the
-// hole instead of swapping (one copy per level instead of three).
+// hole instead of swapping (one copy per level instead of three). A 4-ary
+// heap over the same events measured slower at the ~75 entries a run keeps
+// pending (DESIGN.md §6).
 type eventHeap []event
 
 func (h eventHeap) Len() int { return len(h) }
@@ -76,7 +81,6 @@ func (h *eventHeap) pop() event {
 	a := *h
 	min := a[0]
 	last := a[len(a)-1]
-	a[len(a)-1] = event{}
 	a = a[:len(a)-1]
 	if n := len(a); n > 0 {
 		// Sift the former last leaf down from the root, moving the hole.

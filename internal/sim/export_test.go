@@ -1,6 +1,7 @@
 package sim
 
-import "unsafe"
+import "reflect"
 
-// EventBytes lends the external budget test the size of one event-heap entry.
-const EventBytes = unsafe.Sizeof(event{})
+// EventType lends the external budget test the type of one event-heap
+// entry.
+var EventType = reflect.TypeOf(event{})

@@ -177,7 +177,7 @@ func (s *Simulator) After(delay time.Duration, fn func()) {
 	if delay < 0 {
 		delay = 0
 	}
-	s.push(s.now+delay, event{fn: fn})
+	s.pushFn(s.now+delay, fn)
 }
 
 // Reprogram installs a new schedule and fresh gate programs mid-run — the
@@ -202,7 +202,10 @@ func (s *Simulator) Reprogram(schedule *model.Schedule, gcls map[model.LinkID]*g
 			s.shed[id] = true
 		}
 	}
-	for lid, p := range s.ports {
+	// Wake every port in Links() order, so the wakes' places in the event
+	// order do not follow the randomized iteration order of a map.
+	for _, p := range s.portTab {
+		lid := p.link.ID()
 		program := gcls[lid]
 		if program == nil {
 			program = &gcl.PortGCL{Link: lid, Cycle: time.Millisecond,

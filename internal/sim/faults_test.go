@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"cmp"
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -250,5 +252,59 @@ func TestReprogramShedsStreamAndRestartsOthers(t *testing.T) {
 	}
 	if r.Drops("s2") != 0 || r.Lost("s2") != 0 {
 		t.Fatalf("s2 drops=%d lost=%d", r.Drops("s2"), r.Lost("s2"))
+	}
+}
+
+// TestReprogramWakeOrder steps a run to mid-flight, reprograms it, and
+// checks the wakes the Reprogram put on the heap: their sequence numbers,
+// and with them the dispatch order at that instant, ascend in Links() order.
+// Every port ends up with a wake at the reprogram instant, its own or one it
+// already had.
+func TestReprogramWakeOrder(t *testing.T) {
+	n, res, gcls, ect := etsnPlan(t)
+	s, err := New(Config{Network: n, Schedule: res.Schedule, GCLs: gcls,
+		ECT:      []ECTTraffic{{Stream: ect, Priority: model.PriorityECT}},
+		Duration: 20 * time.Millisecond, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.prime()
+	for s.events.Len() > 0 && s.events[0].at < 5*time.Millisecond {
+		e := s.events.pop()
+		s.dispatch(&e)
+	}
+	links := n.Links()
+	for i, p := range s.portTab {
+		if p.link.ID() != links[i].ID() {
+			t.Fatalf("portTab[%d] is %s, Links()[%d] is %s", i, p.link.ID(), i, links[i].ID())
+		}
+	}
+	before := s.seq
+	if err := s.Reprogram(res.Schedule, gcls, nil); err != nil {
+		t.Fatal(err)
+	}
+	var pushed []event
+	woken := make(map[uint32]bool)
+	for _, e := range s.events {
+		if e.kind != evWake || e.at != s.now {
+			continue
+		}
+		woken[e.op] = true
+		if e.seq > before {
+			pushed = append(pushed, e)
+		}
+	}
+	if len(woken) != len(s.portTab) {
+		t.Fatalf("%d of %d ports have a wake at the reprogram instant", len(woken), len(s.portTab))
+	}
+	if len(pushed) < 2 {
+		t.Fatalf("Reprogram pushed %d wakes, too few to order", len(pushed))
+	}
+	slices.SortFunc(pushed, func(a, b event) int { return cmp.Compare(a.seq, b.seq) })
+	for i := 1; i < len(pushed); i++ {
+		if pushed[i].op <= pushed[i-1].op {
+			t.Fatalf("wake seq %d for %s follows seq %d for %s: not in Links() order",
+				pushed[i].seq, s.portTab[pushed[i].op].link.ID(), pushed[i-1].seq, s.portTab[pushed[i-1].op].link.ID())
+		}
 	}
 }

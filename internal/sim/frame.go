@@ -35,6 +35,9 @@ type Frame struct {
 	// gen is the Reprogram generation a TCT fragment was scheduled under;
 	// a stale fragment is discarded when its emission comes up.
 	gen int32
+	// idx is the frame's place in the run's frameTab, the operand of its
+	// evDeliver and evEmit events; it survives recycling.
+	idx uint32
 }
 
 // route is a path resolved once to its output ports, so forwarding does not
@@ -73,15 +76,35 @@ func (s *Simulator) routeOf(path []model.LinkID) *route {
 	return s.routes[pathKey{&path[0], len(path)}]
 }
 
-// newFrame copies f into the run's frame arena, which allocates frames a
-// chunk at a time instead of one by one.
+// newFrame copies f into a recycled frame, or into the run's frame arena,
+// which allocates frames a chunk at a time and never moves one: queues hold
+// *Frame, events hold the frame's frameTab index.
 func (s *Simulator) newFrame(f Frame) *Frame {
-	if len(s.arena) == 0 {
-		s.arena = make([]Frame, 256)
+	var p *Frame
+	s.framesMade++
+	if n := len(s.freeFrames); n > 0 {
+		p = s.freeFrames[n-1]
+		s.freeFrames = s.freeFrames[:n-1]
+		f.idx = p.idx
+	} else {
+		if len(s.arena) == 0 {
+			s.arena = make([]Frame, 256)
+		}
+		p, s.arena = &s.arena[0], s.arena[1:]
+		f.idx = uint32(len(s.frameTab))
+		s.frameTab = append(s.frameTab, p)
 	}
-	p := &s.arena[0]
-	*p, s.arena = f, s.arena[1:]
+	*p = f
 	return p
+}
+
+// release returns a dead frame to the free list: it was delivered at its
+// last hop, eliminated as a duplicate, dropped, lost on the wire, or
+// outlived by a Reprogram. Its pointers are cleared; an attribution record
+// lives in its own allocation, so Results keeps it after the frame is reused.
+func (s *Simulator) release(f *Frame) {
+	*f = Frame{idx: f.idx}
+	s.freeFrames = append(s.freeFrames, f)
 }
 
 // CurrentLink returns the link the frame must traverse next.

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"slices"
-	"sort"
 	"time"
 
 	"etsn/internal/gcl"
@@ -18,15 +17,49 @@ type gateWin struct {
 	end   time.Duration
 }
 
+// queue is one traffic class's FIFO. A pop clears its slot and advances
+// head instead of reslicing, so a standing queue's appends reuse the slots
+// its pops freed rather than regrowing the array.
+type queue struct {
+	buf  []*Frame
+	head int
+}
+
+func (q *queue) len() int { return len(q.buf) - q.head }
+
+// frames returns the queued frames, head first.
+func (q *queue) frames() []*Frame { return q.buf[q.head:] }
+
+// push appends f, first sliding the queue to the front of its array when
+// the array is full and at least half of it is popped slots.
+func (q *queue) push(f *Frame) {
+	if len(q.buf) == cap(q.buf) && 2*q.head >= len(q.buf) {
+		n := copy(q.buf, q.buf[q.head:])
+		clear(q.buf[n:])
+		q.buf, q.head = q.buf[:n], 0
+	}
+	q.buf = append(q.buf, f)
+}
+
+// pop removes the head frame, leaving its slot nil so the array does not
+// keep the frame reachable; a queue that empties keeps its array.
+func (q *queue) pop() {
+	q.buf[q.head] = nil
+	if q.head++; q.head == len(q.buf) {
+		q.buf, q.head = q.buf[:0], 0
+	}
+}
+
 // outPort is the output port feeding one directed link: eight FIFO priority
 // queues, a Qbv gate program, strict-priority transmission selection with a
 // length-aware gate check (a frame starts only if its gate stays open for
 // the whole transmission), and optional per-class credit-based shapers.
 type outPort struct {
 	sim     *Simulator
+	idx     uint32 // place in portTab, the operand of the port's wakes
 	link    *model.Link
 	program *gcl.PortGCL
-	queues  [model.NumPriorities][]*Frame
+	queues  [model.NumPriorities]queue
 	busy    time.Duration // transmitting until this instant
 	shapers map[int]*shaper
 	drops   int
@@ -73,13 +106,16 @@ func (p *outPort) unavailable() bool {
 // whatever was waiting in the egress queues.
 func (p *outPort) flush() {
 	for pri := range p.queues {
-		for _, f := range p.queues[pri] {
+		q := &p.queues[pri]
+		for _, f := range q.frames() {
 			p.drops++
 			p.sim.mDropsFlush.Inc()
 			p.sim.results.recordDrop(f.Stream, p.sim.now)
 			p.sim.trace.emit(p.sim.now, "drop", f, p.link.ID())
+			p.sim.release(f)
 		}
-		p.queues[pri] = nil
+		clear(q.buf)
+		q.buf, q.head = q.buf[:0], 0
 	}
 	p.depth = 0
 }
@@ -136,7 +172,16 @@ func (p *outPort) nextOpen(t time.Duration, pri int, need time.Duration) (time.D
 	c := p.program.Cycle
 	base := t - t%c
 	off := t % c
-	i := sort.Search(len(ws), func(k int) bool { return ws[k].end > off })
+	// Binary search for the first window ending after off.
+	i, hi := 0, len(ws)
+	for i < hi {
+		m := int(uint(i+hi) >> 1)
+		if ws[m].end > off {
+			hi = m
+		} else {
+			i = m + 1
+		}
+	}
 	for ; i < len(ws); i++ {
 		start := ws[i].start
 		if start < off {
@@ -235,6 +280,7 @@ func (p *outPort) enqueue(f *Frame) {
 		p.sim.mDropsDown.Inc()
 		p.sim.results.recordDrop(f.Stream, p.sim.now)
 		p.sim.trace.emit(p.sim.now, "drop", f, p.link.ID())
+		p.sim.release(f)
 		return
 	}
 	if c := p.sim.cfg.CQF; c != nil && (f.Priority == c.QueueA || f.Priority == c.QueueB) {
@@ -242,7 +288,7 @@ func (p *outPort) enqueue(f *Frame) {
 	}
 	p.sim.trace.emit(p.sim.now, "enqueue", f, p.link.ID())
 	f.attrib.beginHop(p.link.ID(), p.sim.now)
-	p.queues[f.Priority] = append(p.queues[f.Priority], f)
+	p.queues[f.Priority].push(f)
 	p.depth++
 	p.mQueueHWM.Max(int64(p.depth))
 	p.trySend()
@@ -276,11 +322,11 @@ func (p *outPort) trySend() {
 	skew := local - now
 	var wake time.Duration = -1
 	for pri := model.NumPriorities - 1; pri >= 0; pri-- {
-		q := p.queues[pri]
-		if len(q) == 0 {
+		q := &p.queues[pri]
+		if q.len() == 0 {
 			continue
 		}
-		head := q[0]
+		head := q.buf[q.head]
 		tx := p.link.TxTime(head.PayloadBytes)
 		at, ok := p.nextOpen(local, pri, tx)
 		if !ok {
@@ -291,6 +337,7 @@ func (p *outPort) trySend() {
 			p.sim.mDropsJam.Inc()
 			p.sim.results.recordDrop(head.Stream, now)
 			p.sim.trace.emit(now, "drop", head, p.link.ID())
+			p.sim.release(head)
 			p.pushWake(now, p.sim.nextSeq())
 			return
 		}
@@ -332,7 +379,7 @@ func (p *outPort) pushWake(at time.Duration, seq int64) {
 		return
 	}
 	p.pend = append(p.pend, at)
-	p.sim.events.push(event{at: at, seq: seq, kind: evWake, port: p})
+	p.sim.events.push(event{at: at, seq: seq, op: p.idx, kind: evWake})
 }
 
 // wake handles the port's wake-up event for the current instant.
@@ -343,15 +390,9 @@ func (p *outPort) wake() {
 	p.trySend()
 }
 
-// popHead removes the head frame of a priority queue without leaving it
-// reachable through the backing array, which a queue that empties keeps.
+// popHead removes the head frame of a priority queue.
 func (p *outPort) popHead(pri int) {
-	q := p.queues[pri]
-	q[0] = nil
-	p.queues[pri] = q[1:]
-	if len(q) == 1 {
-		p.queues[pri] = q[:0]
-	}
+	p.queues[pri].pop()
 	p.depth--
 }
 
@@ -374,7 +415,7 @@ func (p *outPort) transmit(f *Frame, pri int, tx time.Duration) {
 			f.attrib.cur.PropNs = int64(p.link.PropDelay)
 		}
 		for qp := range p.queues {
-			for _, g := range p.queues[qp] {
+			for _, g := range p.queues[qp].frames() {
 				if g.attrib == nil {
 					continue
 				}
@@ -397,8 +438,9 @@ func (p *outPort) transmit(f *Frame, pri int, tx time.Duration) {
 		p.sim.mLost.Inc()
 		p.sim.results.recordLost(f.Stream, now)
 		p.sim.trace.emit(now, "lost", f, p.link.ID())
+		p.sim.release(f)
 	} else {
-		p.sim.push(now+tx+p.link.PropDelay, event{kind: evDeliver, frame: f})
+		p.sim.push(now+tx+p.link.PropDelay, evDeliver, f.idx)
 	}
 	// The completion wake takes its place in the event order now, but goes
 	// on the heap only once there is a frame for it to send.

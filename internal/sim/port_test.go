@@ -353,22 +353,46 @@ func TestTraceJSONL(t *testing.T) {
 
 // TestPopHeadReleasesFrame pins both removal paths (a transmission, a jam
 // drop) to popHead: the slot a frame leaves is cleared, so the queue's backing
-// array does not keep it reachable, and a queue that empties keeps that array.
+// array does not keep it reachable, a queue that empties keeps that array,
+// and a standing queue's pushes reuse popped slots instead of regrowing it.
 func TestPopHeadReleasesFrame(t *testing.T) {
 	p := portWith(t, []gcl.Entry{{Duration: time.Millisecond, Gates: 0xFF}}, time.Millisecond)
 	backing := make([]*Frame, 0, 4)
-	p.queues[3] = append(backing, &Frame{Seq: 1}, &Frame{Seq: 2})
+	q := &p.queues[3]
+	q.buf = append(backing, &Frame{Seq: 1}, &Frame{Seq: 2})
 	p.depth = 2
 	p.popHead(3)
-	if backing[:2][0] != nil || len(p.queues[3]) != 1 || p.queues[3][0].Seq != 2 || p.depth != 1 {
-		t.Fatalf("after one pop: slot %v, queue %v, depth %d", backing[:2][0], p.queues[3], p.depth)
+	if backing[:2][0] != nil || q.len() != 1 || q.frames()[0].Seq != 2 || p.depth != 1 {
+		t.Fatalf("after one pop: slot %v, queue %v, depth %d", backing[:2][0], q.frames(), p.depth)
 	}
 	p.popHead(3)
-	if backing[:2][1] != nil || len(p.queues[3]) != 0 || p.depth != 0 {
-		t.Fatalf("after two pops: slot %v, queue %v, depth %d", backing[:2][1], p.queues[3], p.depth)
+	if backing[:2][1] != nil || q.len() != 0 || p.depth != 0 {
+		t.Fatalf("after two pops: slot %v, queue %v, depth %d", backing[:2][1], q.frames(), p.depth)
 	}
-	if cap(p.queues[3]) != 3 {
-		t.Fatalf("emptied queue has capacity %d, want the 3 slots from its last head on", cap(p.queues[3]))
+	if cap(q.buf) != 4 || q.head != 0 {
+		t.Fatalf("emptied queue has capacity %d and head %d, want its 4-slot array back from the start", cap(q.buf), q.head)
+	}
+	// A standing queue: fill the array, then pop one and push one, many
+	// times over. The array may double once, so that at least half of it is
+	// popped slots when it next fills up, and never grows again; every
+	// popped slot stays nil.
+	for i := 0; i < 4; i++ {
+		q.push(&Frame{Seq: int64(i)})
+	}
+	for i := 4; i < 40; i++ {
+		q.pop()
+		q.push(&Frame{Seq: int64(i)})
+		if cap(q.buf) > 8 {
+			t.Fatalf("step %d: standing queue regrew to capacity %d", i, cap(q.buf))
+		}
+		for j, f := range q.buf[:q.head] {
+			if f != nil {
+				t.Fatalf("step %d: popped slot %d still holds frame %d", i, j, f.Seq)
+			}
+		}
+		if fs := q.frames(); q.len() != 4 || fs[0].Seq != int64(i-3) || fs[3].Seq != int64(i) {
+			t.Fatalf("step %d: queue %v out of FIFO order", i, fs)
+		}
 	}
 
 	// End to end: after a run with transmissions on the first hop and jam
@@ -387,7 +411,7 @@ func TestPopHeadReleasesFrame(t *testing.T) {
 	}
 	for lid, port := range s.ports {
 		for pri, q := range port.queues {
-			for i, f := range q[:cap(q)] {
+			for i, f := range q.buf[:cap(q.buf)] {
 				if f != nil {
 					t.Fatalf("%s queue %d slot %d still holds frame %s/%d", lid, pri, i, f.Stream, f.Seq)
 				}
@@ -401,10 +425,11 @@ func futureWakes(s *Simulator) map[*outPort]map[time.Duration]int {
 	seen := make(map[*outPort]map[time.Duration]int)
 	for i := range s.events {
 		if e := &s.events[i]; e.kind == evWake {
-			if seen[e.port] == nil {
-				seen[e.port] = make(map[time.Duration]int)
+			p := s.portTab[e.op]
+			if seen[p] == nil {
+				seen[p] = make(map[time.Duration]int)
 			}
-			seen[e.port][e.at]++
+			seen[p][e.at]++
 		}
 	}
 	return seen

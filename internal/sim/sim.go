@@ -162,6 +162,20 @@ type Simulator struct {
 	events  eventHeap
 	ports   map[model.LinkID]*outPort
 	results *Results
+	// The operand tables events index, one per kind: ports in Links()
+	// order; every frame the run created, recycled through freeFrames;
+	// talker loops, one per stream and Reprogram generation; best-effort
+	// flows and event sources; and the closures of faults and After
+	// callbacks, whose slots recycle through freeFns.
+	portTab    []*outPort
+	frameTab   []*Frame
+	freeFrames []*Frame
+	framesMade int // newFrame calls, fresh or recycled
+	tct        []tctLoop
+	be         []beFlow
+	ect        []ectSource
+	fns        []func()
+	freeFns    []uint32
 	// arrived counts received fragments per in-flight message.
 	arrived map[msgKey]int
 	// seen tracks accepted fragments for 802.1CB duplicate elimination.
@@ -173,9 +187,6 @@ type Simulator struct {
 	gen int32
 	// shed silences streams dropped by graceful degradation.
 	shed map[model.StreamID]bool
-	// beIDs caches BEStreamID per flow so the per-frame emission path does
-	// not re-format the name.
-	beIDs []model.StreamID
 	// ectPath overrides event-stream routes after a recovery reroute.
 	ectPath map[model.StreamID][]model.LinkID
 	// routes holds every configured path (and those of schedules Reprogram
@@ -205,6 +216,36 @@ type Simulator struct {
 	mAttribFrames *obs.Counter
 	mBoundChecked *obs.Counter
 	mBoundMiss    *obs.Counter
+}
+
+// tctLoop is one deterministic stream's talker under one Reprogram
+// generation: cycle is the next cycle to emit. A loop whose generation has
+// gone stale stops at its next tick.
+type tctLoop struct {
+	gen     int32
+	stream  *model.Stream
+	route   *route
+	offsets []time.Duration
+	cycle   int64
+}
+
+// beFlow is one best-effort flow's source: its configuration (payload
+// defaulted), route and name, the instant of its pending tick, and the
+// sequence number of its next frame.
+type beFlow struct {
+	cfg   BETraffic
+	route *route
+	id    model.StreamID
+	at    time.Duration
+	seq   int64
+}
+
+// ectSource is one event source: the instant of its pending event and
+// that event's sequence number.
+type ectSource struct {
+	cfg ECTTraffic
+	at  time.Duration
+	seq int64
 }
 
 type fragKey struct {
@@ -314,7 +355,7 @@ func New(cfg Config) (*Simulator, error) {
 			program = &gcl.PortGCL{Link: link.ID(), Cycle: time.Millisecond,
 				Entries: []gcl.Entry{{Duration: time.Millisecond, Gates: 0xFF}}}
 		}
-		p := &outPort{sim: s, link: link, program: program, shapers: make(map[int]*shaper)}
+		p := &outPort{sim: s, idx: uint32(len(s.portTab)), link: link, program: program, shapers: make(map[int]*shaper)}
 		p.mQueueHWM = cfg.Obs.Gauge(obs.Labels("etsn_sim_queue_depth_hwm", "link", link.ID().String()))
 		p.mGateOpens = cfg.Obs.Counter(obs.Labels("etsn_sim_gate_opens_total", "link", link.ID().String()))
 		p.buildWindows()
@@ -322,6 +363,7 @@ func New(cfg Config) (*Simulator, error) {
 			p.shapers[pri] = newShaper(frac*float64(link.Bandwidth), float64(link.Bandwidth))
 		}
 		s.ports[link.ID()] = p
+		s.portTab = append(s.portTab, p)
 	}
 	for _, e := range cfg.ECT {
 		for _, path := range append([][]model.LinkID{e.Stream.Path}, e.ExtraPaths...) {
@@ -391,12 +433,25 @@ func (s *Simulator) localTime(node model.NodeID, t time.Duration) time.Duration 
 
 // push puts an event on the heap under its time and the next insertion
 // sequence.
-func (s *Simulator) push(at time.Duration, e event) {
+func (s *Simulator) push(at time.Duration, kind evKind, op uint32) {
 	if at < s.now {
 		at = s.now
 	}
-	e.at, e.seq = at, s.nextSeq()
-	s.events.push(e)
+	s.events.push(event{at: at, seq: s.nextSeq(), op: op, kind: kind})
+}
+
+// pushFn schedules a closure: a fault injection or an After callback.
+func (s *Simulator) pushFn(at time.Duration, fn func()) {
+	var slot uint32
+	if n := len(s.freeFns); n > 0 {
+		slot = s.freeFns[n-1]
+		s.freeFns = s.freeFns[:n-1]
+		s.fns[slot] = fn
+	} else {
+		slot = uint32(len(s.fns))
+		s.fns = append(s.fns, fn)
+	}
+	s.push(at, evFn, slot)
 }
 
 func (s *Simulator) nextSeq() int64 {
@@ -409,16 +464,31 @@ func (s *Simulator) dispatch(e *event) {
 	s.now = e.at
 	switch e.kind {
 	case evDeliver:
-		s.deliver(e.frame)
+		s.deliver(s.frameTab[e.op])
 	case evWake:
-		e.port.wake()
+		s.portTab[e.op].wake()
 	case evEmit:
-		if f := e.frame; f.gen == s.gen {
-			f.attrib = s.newAttrib(f)
-			f.route.ports[0].enqueue(f)
+		f := s.frameTab[e.op]
+		if f.gen != s.gen {
+			s.release(f)
+			return
 		}
+		f.attrib = s.newAttrib(f)
+		f.route.ports[0].enqueue(f)
+	case evTCT:
+		if l := &s.tct[e.op]; l.gen == s.gen {
+			l.cycle++
+			s.scheduleTCTCycle(e.op)
+		}
+	case evBE:
+		s.beTick(e.op)
+	case evECT:
+		s.ectTick(e.op)
 	default:
-		e.fn()
+		fn := s.fns[e.op]
+		s.fns[e.op] = nil
+		s.freeFns = append(s.freeFns, e.op)
+		fn()
 	}
 }
 
@@ -426,7 +496,7 @@ func (s *Simulator) dispatch(e *event) {
 // talker cycles, and the first occurrence of every stochastic source.
 func (s *Simulator) prime() {
 	for _, f := range s.cfg.Faults {
-		s.push(f.At, event{fn: func() { s.applyFault(f) }})
+		s.pushFn(f.At, func() { s.applyFault(f) })
 	}
 	s.launchTCT(0)
 	s.startECTSources()
@@ -452,7 +522,7 @@ func (s *Simulator) Run() (*Results, error) {
 	if elapsed := time.Since(wallStart).Seconds(); elapsed > 0 {
 		s.mEventsPerSec.Set(int64(float64(processed) / elapsed))
 	}
-	for _, p := range s.ports {
+	for _, p := range s.portTab {
 		s.results.totalDrops += p.drops
 	}
 	return s.results, nil
@@ -493,12 +563,17 @@ func (s *Simulator) launchTCT(from time.Duration) {
 		if from > 0 {
 			cycle = int64((from + st.Period - 1) / st.Period)
 		}
-		s.scheduleTCTCycle(gen, st, rt, offsets, cycle)
+		s.tct = append(s.tct, tctLoop{gen: gen, stream: st, route: rt, offsets: offsets, cycle: cycle})
+		s.scheduleTCTCycle(uint32(len(s.tct) - 1))
 	}
 }
 
-func (s *Simulator) scheduleTCTCycle(gen int32, st *model.Stream, rt *route, offsets []time.Duration, cycle int64) {
-	base := time.Duration(cycle) * st.Period
+// scheduleTCTCycle emits the fragments of talker loop l's current cycle at
+// their offsets and schedules the loop's next tick one period on.
+func (s *Simulator) scheduleTCTCycle(l uint32) {
+	loop := &s.tct[l]
+	st, offsets := loop.stream, loop.offsets
+	base := time.Duration(loop.cycle) * st.Period
 	if base > s.cfg.Duration {
 		return
 	}
@@ -507,78 +582,94 @@ func (s *Simulator) scheduleTCTCycle(gen int32, st *model.Stream, rt *route, off
 	for j := 0; j < frags; j++ {
 		f := s.newFrame(Frame{
 			Stream:       st.ID,
-			Seq:          cycle,
+			Seq:          loop.cycle,
 			Frag:         j,
 			FragCount:    frags,
 			Priority:     st.Priority,
 			PayloadBytes: fragmentBytes(st.LengthBytes, frags, j),
 			Created:      created,
-			route:        rt,
-			gen:          gen,
+			route:        loop.route,
+			gen:          loop.gen,
 		})
-		s.push(base+offsets[j], event{kind: evEmit, frame: f})
+		s.push(base+offsets[j], evEmit, f.idx)
 	}
-	s.push(base+st.Period, event{fn: func() {
-		if gen != s.gen {
-			return
-		}
-		s.scheduleTCTCycle(gen, st, rt, offsets, cycle+1)
-	}})
+	s.push(base+st.Period, evTCT, l)
 }
 
 // startECTSources schedules the first occurrence of every event source.
 func (s *Simulator) startECTSources() {
 	for _, src := range s.cfg.ECT {
-		gap := src.Gaps
-		if gap == nil {
-			gap = func(rng *rand.Rand) time.Duration {
-				return src.Stream.MinInterevent +
-					time.Duration(rng.Int63n(int64(src.Stream.MinInterevent)))
-			}
-		}
 		// First event lands uniformly inside the first interevent window.
 		first := time.Duration(s.rng.Int63n(int64(src.Stream.MinInterevent)))
-		s.scheduleECTEvent(src, gap, first, 0)
+		s.ect = append(s.ect, ectSource{cfg: src})
+		s.scheduleECTEvent(uint32(len(s.ect)-1), first)
 	}
 }
 
-func (s *Simulator) scheduleECTEvent(src ECTTraffic, gap func(*rand.Rand) time.Duration, at time.Duration, seq int64) {
+// scheduleECTEvent sets event source i's next event for at, unless that
+// lies past the end of the run.
+func (s *Simulator) scheduleECTEvent(i uint32, at time.Duration) {
 	if at > s.cfg.Duration {
 		return
 	}
-	s.push(at, event{fn: func() {
-		if s.shed[src.Stream.ID] {
-			// Shed event sources stay silent but keep ticking so a later
-			// Reprogram could resume them.
-			s.scheduleECTEvent(src, gap, at+gap(s.rng), seq)
-			return
-		}
-		frags := src.Stream.Frames()
-		route := src.Stream.Path
-		if p := s.ectPath[src.Stream.ID]; p != nil {
-			route = p
-		}
-		s.results.recordEmitted(src.Stream.ID)
-		paths := append([][]model.LinkID{route}, src.ExtraPaths...)
-		for _, path := range paths {
-			rt := s.routeOf(path)
-			for j := 0; j < frags; j++ {
-				f := s.newFrame(Frame{
-					Stream:       src.Stream.ID,
-					Seq:          seq,
-					Frag:         j,
-					FragCount:    frags,
-					Priority:     src.Priority,
-					PayloadBytes: fragmentBytes(src.Stream.LengthBytes, frags, j),
-					Created:      at,
-					route:        rt,
-				})
-				f.attrib = s.newAttrib(f)
-				rt.ports[0].enqueue(f)
-			}
-		}
-		s.scheduleECTEvent(src, gap, at+gap(s.rng), seq+1)
-	}})
+	s.ect[i].at = at
+	s.push(at, evECT, i)
+}
+
+// ectGap draws the gap between one event of a source and the next: the
+// source's Gaps, or by default MinInterevent plus a uniform extra in
+// [0, MinInterevent).
+func (s *Simulator) ectGap(src *ECTTraffic) time.Duration {
+	if src.Gaps != nil {
+		return src.Gaps(s.rng)
+	}
+	min := src.Stream.MinInterevent
+	return min + time.Duration(s.rng.Int63n(int64(min)))
+}
+
+// ectTick fires event source i: one message over its current route and
+// every replica path, then the next event.
+func (s *Simulator) ectTick(i uint32) {
+	src := &s.ect[i]
+	at, id := src.at, src.cfg.Stream.ID
+	if s.shed[id] {
+		// Shed event sources stay silent but keep ticking so a later
+		// Reprogram could resume them.
+		s.scheduleECTEvent(i, at+s.ectGap(&src.cfg))
+		return
+	}
+	path := src.cfg.Stream.Path
+	if p := s.ectPath[id]; p != nil {
+		path = p
+	}
+	s.results.recordEmitted(id)
+	s.emitECT(src, s.routeOf(path))
+	for _, extra := range src.cfg.ExtraPaths {
+		s.emitECT(src, s.routeOf(extra))
+	}
+	src.seq++
+	s.scheduleECTEvent(i, at+s.ectGap(&src.cfg))
+}
+
+// emitECT hands the fragments of source src's current message to the
+// talker port of one route.
+func (s *Simulator) emitECT(src *ectSource, rt *route) {
+	st := src.cfg.Stream
+	frags := st.Frames()
+	for j := 0; j < frags; j++ {
+		f := s.newFrame(Frame{
+			Stream:       st.ID,
+			Seq:          src.seq,
+			Frag:         j,
+			FragCount:    frags,
+			Priority:     src.cfg.Priority,
+			PayloadBytes: fragmentBytes(st.LengthBytes, frags, j),
+			Created:      src.at,
+			route:        rt,
+		})
+		f.attrib = s.newAttrib(f)
+		rt.ports[0].enqueue(f)
+	}
 }
 
 // BEStreamID names the i-th best-effort background flow in results and shed
@@ -590,10 +681,7 @@ func BEStreamID(flow int) model.StreamID {
 // startBESources schedules background best-effort flows with exponential
 // inter-arrival gaps.
 func (s *Simulator) startBESources() {
-	s.beIDs = make([]model.StreamID, len(s.cfg.BestEffort))
-	for i := range s.cfg.BestEffort {
-		s.beIDs[i] = BEStreamID(i)
-		be := s.cfg.BestEffort[i]
+	for i, be := range s.cfg.BestEffort {
 		if be.PayloadBytes == 0 {
 			be.PayloadBytes = model.MTUBytes
 		}
@@ -601,34 +689,43 @@ func (s *Simulator) startBESources() {
 			continue
 		}
 		first := time.Duration(s.rng.ExpFloat64() * float64(be.MeanGap))
-		s.scheduleBEFrame(be, s.routeOf(be.Path), i, first, 0)
+		s.be = append(s.be, beFlow{cfg: be, route: s.routeOf(be.Path), id: BEStreamID(i)})
+		s.scheduleBEFrame(uint32(len(s.be)-1), first)
 	}
 }
 
-func (s *Simulator) scheduleBEFrame(be BETraffic, rt *route, flow int, at time.Duration, seq int64) {
+// scheduleBEFrame sets flow i's next frame for at, unless that lies past
+// the end of the run.
+func (s *Simulator) scheduleBEFrame(i uint32, at time.Duration) {
 	if at > s.cfg.Duration {
 		return
 	}
-	s.push(at, event{fn: func() {
-		id := s.beIDs[flow]
-		gap := time.Duration(s.rng.ExpFloat64() * float64(be.MeanGap))
-		if s.shed[id] {
-			s.scheduleBEFrame(be, rt, flow, at+gap, seq)
-			return
-		}
-		f := s.newFrame(Frame{
-			Stream:       id,
-			Seq:          seq,
-			FragCount:    1,
-			Priority:     be.Priority,
-			PayloadBytes: be.PayloadBytes,
-			Created:      at,
-			route:        rt,
-		})
-		f.attrib = s.newAttrib(f)
-		rt.ports[0].enqueue(f)
-		s.scheduleBEFrame(be, rt, flow, at+gap, seq+1)
-	}})
+	s.be[i].at = at
+	s.push(at, evBE, i)
+}
+
+// beTick emits flow i's next frame and draws the gap to the one after.
+func (s *Simulator) beTick(i uint32) {
+	be := &s.be[i]
+	at := be.at
+	gap := time.Duration(s.rng.ExpFloat64() * float64(be.cfg.MeanGap))
+	if s.shed[be.id] {
+		s.scheduleBEFrame(i, at+gap)
+		return
+	}
+	f := s.newFrame(Frame{
+		Stream:       be.id,
+		Seq:          be.seq,
+		FragCount:    1,
+		Priority:     be.cfg.Priority,
+		PayloadBytes: be.cfg.PayloadBytes,
+		Created:      at,
+		route:        be.route,
+	})
+	f.attrib = s.newAttrib(f)
+	be.seq++
+	be.route.ports[0].enqueue(f)
+	s.scheduleBEFrame(i, at+gap)
 }
 
 // deliver handles a frame that finished crossing a link: forward at the next
@@ -644,6 +741,7 @@ func (s *Simulator) deliver(f *Frame) {
 			fk := fragKey{stream: f.Stream, seq: f.Seq, frag: f.Frag}
 			if s.seen[fk] {
 				s.results.recordEliminated(f.Stream)
+				s.release(f)
 				return
 			}
 			s.seen[fk] = true
@@ -654,24 +752,36 @@ func (s *Simulator) deliver(f *Frame) {
 			s.trace.emitAttrib(s.now, &f.attrib.rec)
 			s.mAttribFrames.Inc()
 		}
-		k := msgKey{stream: f.Stream, seq: f.Seq}
-		s.arrived[k]++
-		if s.arrived[k] == f.FragCount {
-			delete(s.arrived, k)
-			if f.Created >= s.cfg.WarmUp {
-				lat := s.now - f.Created
-				s.results.record(f.Stream, lat, s.now)
-				s.mDelivered.Inc()
-				s.mLatencyNs.Observe(int64(lat))
-				if bound, ok := s.cfg.Bounds[f.Stream]; ok {
-					s.scoreBound(f, bound, lat)
-				}
+		if s.complete(f) && f.Created >= s.cfg.WarmUp {
+			lat := s.now - f.Created
+			s.results.record(f.Stream, lat, s.now)
+			s.mDelivered.Inc()
+			s.mLatencyNs.Observe(int64(lat))
+			if bound, ok := s.cfg.Bounds[f.Stream]; ok {
+				s.scoreBound(f, bound, lat)
 			}
 		}
+		s.release(f)
 		return
 	}
 	f.Hop++
 	f.route.ports[f.Hop].enqueue(f)
+}
+
+// complete counts a fragment that reached its listener and reports whether
+// it was the message's last; a single-fragment message needs no count.
+func (s *Simulator) complete(f *Frame) bool {
+	if f.FragCount == 1 {
+		return true
+	}
+	k := msgKey{stream: f.Stream, seq: f.Seq}
+	n := s.arrived[k] + 1
+	if n == f.FragCount {
+		delete(s.arrived, k)
+		return true
+	}
+	s.arrived[k] = n
+	return false
 }
 
 // scoreBound scores a completed message against its stream's analytic

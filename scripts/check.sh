@@ -136,6 +136,7 @@ go test ./internal/qcc/ -run=^$ -fuzz=FuzzParse$ -fuzztime="$FUZZTIME"
 go test ./internal/qcc/ -run=^$ -fuzz=FuzzParseDeployment -fuzztime="$FUZZTIME"
 go test ./internal/qcc/ -run=^$ -fuzz=FuzzExportStreamIDs -fuzztime="$FUZZTIME"
 go test ./internal/smt/ -run=^$ -fuzz=FuzzSolve -fuzztime="$FUZZTIME"
+go test ./internal/sim/ -run=^$ -fuzz=FuzzFrameLifecycle -fuzztime="$FUZZTIME"
 
 echo "==> differential fuzz smoke (CDCL vs reference, ${DIFF_FUZZTIME})"
 go test ./internal/smt/ -run=^$ -fuzz=FuzzDifferential -fuzztime="$DIFF_FUZZTIME"
