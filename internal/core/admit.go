@@ -71,11 +71,19 @@ func Admit(orig *Problem, prev *Result, newTCT []*model.Stream, newECT []*model.
 		}
 		frozen[si] = true
 	}
+	// deployed counts each hop's deployed slots, by hop.base.
+	deployed := make([]int, inst.nFrames)
 	for _, lid := range prev.Schedule.Links() {
 		for _, fs := range prev.Schedule.SlotsOn(lid) {
 			si, ok := streamIdx[fs.Stream]
 			if !ok {
 				return nil, fmt.Errorf("%w: deployed slot of unknown stream %q", ErrInvalidProblem, fs.Stream)
+			}
+			// The slot table's overlap test needs every slot inside its
+			// period.
+			if fs.Offset < 0 || fs.Offset+fs.Length > fs.Period {
+				return nil, fmt.Errorf("%w: deployed slot %d of stream %q on %s at [%d,%d) straddles its period %d",
+					ErrInvalidProblem, fs.Index, fs.Stream, lid, fs.Offset, fs.End(), fs.Period)
 			}
 			// A deployed slot off its stream's path, or beyond the frame
 			// count the combined instance gives that hop, means the
@@ -85,14 +93,10 @@ func Admit(orig *Problem, prev *Result, newTCT []*model.Stream, newECT []*model.
 				return nil, fmt.Errorf("%w: deployed slot %d of stream %q on %s has no place in the combined instance",
 					ErrNeedsReplan, fs.Index, fs.Stream, lid)
 			}
+			deployed[h.base]++
 			t.vphi[h.base+fs.Index] = fs.VirtualOffset()
-			t.placed[h.link] = append(t.placed[h.link], placedSlot{
-				offset:  fs.Offset,
-				length:  fs.Length,
-				period:  fs.Period,
-				stream:  inst.streams[si],
-				reserve: fs.Reserve,
-			})
+			t.add(h.link, classOf(inst.streams[si], fs.Reserve, opts.SharedReserves),
+				placedSlot{offset: fs.Offset, length: fs.Length, period: fs.Period})
 		}
 	}
 	// Deployed frame counts must match the combined instance (they do, as
@@ -102,7 +106,7 @@ func Admit(orig *Problem, prev *Result, newTCT []*model.Stream, newECT []*model.
 			continue
 		}
 		for _, h := range inst.hops[si] {
-			if got := len(prev.Schedule.StreamSlots(s.ID, h.lid)); got != h.count {
+			if got := deployed[h.base]; got != h.count {
 				return nil, fmt.Errorf("%w: stream %q needs %d slots on %s but %d are deployed",
 					ErrNeedsReplan, s.ID, h.count, h.lid, got)
 			}

@@ -152,3 +152,23 @@ func TestSlotsUnchangedDetectsMutation(t *testing.T) {
 		t.Fatal("mutation not detected")
 	}
 }
+
+// TestAdmitRejectsStraddlingDeployedSlot: the slot table's overlap test
+// assumes every slot lies inside its period, so a deployed slot before
+// offset 0 or past its period's end is an invalid input, not a conflict.
+func TestAdmitRejectsStraddlingDeployedSlot(t *testing.T) {
+	n, p, prev := admitBase(t)
+	s := &model.Stream{ID: "s9", Path: mustPath(t, n, "D3", "D1"), E2E: 8 * time.Millisecond,
+		LengthBytes: model.MTUBytes, Period: 4 * time.Millisecond, Type: model.StreamDet}
+	for name, move := range map[string]func(fs *model.FrameSlot){
+		"negative offset": func(fs *model.FrameSlot) { fs.Offset = -1 },
+		"past the period": func(fs *model.FrameSlot) { fs.Offset = fs.Period - fs.Length + 1 },
+	} {
+		bad := *prev
+		bad.Schedule = prev.Schedule.Clone()
+		move(&bad.Schedule.SlotsOn(bad.Schedule.Links()[0])[0])
+		if _, err := Admit(p, &bad, []*model.Stream{s}, nil); !errors.Is(err, ErrInvalidProblem) {
+			t.Errorf("%s: err = %v, want ErrInvalidProblem", name, err)
+		}
+	}
+}

@@ -30,7 +30,7 @@ func solveCascade(ctx context.Context, inst *instance) (*Result, error) {
 			return nil, fmt.Errorf("%w: backend %v cannot run inside a cascade", ErrInvalidProblem, b)
 		}
 	}
-	inst.opts.Obs.Counter("etsn_backend_races_total").Inc()
+	inst.opts.Obs.Counter("etsn_backend_cascades_total").Inc()
 	res, errs := runStages(ctx, inst, order, true)
 	if res != nil {
 		inst.opts.Obs.Counter(`etsn_backend_wins_total{backend="` + res.BackendUsed.String() + `"}`).Inc()

@@ -299,7 +299,7 @@ func TestCascadeStopsAtFirstSuccess(t *testing.T) {
 		t.Fatalf("BackendUsed = %v, want placer", res.BackendUsed)
 	}
 	want := map[string]int64{
-		`etsn_backend_races_total`:                    1,
+		`etsn_backend_cascades_total`:                 1,
 		`etsn_backend_solves_total{backend="placer"}`: 1,
 		`etsn_backend_wins_total{backend="placer"}`:   1,
 	}

@@ -69,7 +69,7 @@ func (t *slotTable) placeStreamLatest(si int, mins []int64) error {
 				}
 			}
 			lb := mins[h.base+j]
-			v, ok := t.findSlotLatest(h.link, s, inst.isReserveIndex(s, j), lb, ub, l, period)
+			v, ok := t.findSlotLatest(h.link, t.frameClass(s, j), lb, ub, l, period)
 			if !ok {
 				return &PlaceFailure{Stream: s.ID, Frame: j, Link: h.lid,
 					Reason: "no free slot below deadline"}
@@ -83,11 +83,11 @@ func (t *slotTable) placeStreamLatest(si int, mins []int64) error {
 }
 
 // findSlotLatest returns the latest virtual time v in [lb, ub] such that
-// the frame's periodic instances do not overlap any incompatible
-// reservation on the link and the slot does not straddle a period
+// the frame's periodic instances do not overlap any reservation on the
+// link its class c may not overlap, and the slot does not straddle a period
 // boundary. It scans downward and gives up after a full period without a
 // fit (mirroring findSlot's upward scan).
-func (t *slotTable) findSlotLatest(link int, s *model.Stream, reserve bool, lb, ub, length, period int64) (int64, bool) {
+func (t *slotTable) findSlotLatest(link int, c slotClass, lb, ub, length, period int64) (int64, bool) {
 	v := ub
 	for {
 		if v < lb || ub-v > period {
@@ -99,7 +99,7 @@ func (t *slotTable) findSlotLatest(link int, s *model.Stream, reserve bool, lb, 
 			v -= off - (period - length)
 			continue
 		}
-		_, prev := t.clearOffsets(link, s, reserve, off, length, period)
+		_, prev := t.clearOffsets(link, c, off, length, period)
 		if prev == off {
 			return v, true
 		}

@@ -8,40 +8,112 @@ import (
 )
 
 // placedSlot is a committed reservation used for conflict checks during
-// placement. offset is in the periodic (mod-period) domain.
+// placement: the slot occupies [offset, offset+length) of every period, and
+// never straddles a period boundary (offset+length <= period).
 type placedSlot struct {
-	offset  int64
-	length  int64
-	period  int64
-	stream  *model.Stream
-	reserve bool
+	offset, length, period int64
+}
+
+// groupKind classifies reservations by the paper's frame-overlap exception
+// (Sec. IV-B2) with the SharedReserves relaxation: whether two slots may
+// overlap depends only on their kinds and, for the keyed kinds, on whether
+// their Parent matches.
+type groupKind uint8
+
+const (
+	// groupExclusive is a non-sharing TCT slot: it overlaps nothing.
+	groupExclusive groupKind = iota
+	// groupShared is a sharing TCT slot: any possibility may overlap it.
+	groupShared
+	// groupReserve is a sharing TCT reserve slot under SharedReserves: any
+	// possibility, and reserves of the same Parent, may overlap it.
+	groupReserve
+	// groupProb is an ECT possibility: sharing TCT slots and possibilities
+	// of the same Parent may overlap it.
+	groupProb
+)
+
+// slotClass is a reservation's conflict group key. parent is set for
+// groupReserve and groupProb only.
+type slotClass struct {
+	kind   groupKind
+	parent model.StreamID
+}
+
+// classOf is the conflict group of a frame of s; reserve says whether the
+// frame is reserve capacity.
+func classOf(s *model.Stream, reserve, sharedReserves bool) slotClass {
+	switch {
+	case s.Type == model.StreamProb:
+		return slotClass{kind: groupProb, parent: s.Parent}
+	case s.Type != model.StreamDet || !s.Share:
+		return slotClass{kind: groupExclusive}
+	case reserve && sharedReserves:
+		return slotClass{kind: groupReserve, parent: s.Parent}
+	}
+	return slotClass{kind: groupShared}
+}
+
+// classesCanOverlap is slotsCanOverlap on conflict groups: every slot of
+// group a may overlap every slot of group b, or none may.
+func classesCanOverlap(a, b slotClass) bool {
+	switch {
+	case a.kind == groupExclusive || b.kind == groupExclusive:
+		return false
+	case (a.kind == groupProb) != (b.kind == groupProb):
+		return true
+	case a.kind == groupShared || b.kind == groupShared:
+		return false
+	}
+	return a.parent == b.parent // two possibilities, or two reserves
+}
+
+// slotGroup holds the reservations of one conflict group on a link.
+type slotGroup struct {
+	class slotClass
+	slots []placedSlot
 }
 
 // slotTable is the placement state the first-fit placer, the ALAP placer
 // and Admit share: the reservations committed on each link, by dense link
-// index (instance.linkIdx), and every frame's virtual start time, by
-// hop.base + frame index. Both are sized once from the instance's layout.
+// index (instance.linkIdx) and then by conflict group, and every frame's
+// virtual start time, by hop.base + frame index. Both are sized once from
+// the instance's layout.
 type slotTable struct {
 	inst   *instance
-	placed [][]placedSlot
+	placed [][]slotGroup
 	vphi   []int64
 }
 
 func newSlotTable(inst *instance) *slotTable {
 	return &slotTable{
 		inst:   inst,
-		placed: make([][]placedSlot, len(inst.linkIdx)),
+		placed: make([][]slotGroup, len(inst.linkIdx)),
 		vphi:   make([]int64, inst.nFrames),
 	}
+}
+
+// frameClass is the conflict group of frame j of stream s.
+func (t *slotTable) frameClass(s *model.Stream, j int) slotClass {
+	return classOf(s, t.inst.isReserveIndex(s, j), t.inst.opts.SharedReserves)
+}
+
+// add files a reservation on a link under its conflict group.
+func (t *slotTable) add(link int, c slotClass, ps placedSlot) {
+	groups := t.placed[link]
+	for i := range groups {
+		if groups[i].class == c {
+			groups[i].slots = append(groups[i].slots, ps)
+			return
+		}
+	}
+	t.placed[link] = append(groups, slotGroup{class: c, slots: []placedSlot{ps}})
 }
 
 // commit reserves frame j of stream s on hop h at virtual time v.
 func (t *slotTable) commit(s *model.Stream, h *hop, j int, v, period int64) {
 	t.vphi[h.base+j] = v
-	t.placed[h.link] = append(t.placed[h.link], placedSlot{
-		offset: v % period, length: h.frameLen(s, j), period: period,
-		stream: s, reserve: t.inst.isReserveIndex(s, j),
-	})
+	t.add(h.link, t.frameClass(s, j), placedSlot{offset: v % period, length: h.frameLen(s, j), period: period})
 }
 
 // checkE2E is constraint (4) on the virtual timeline, including the last
@@ -132,8 +204,9 @@ func placementOrder(streams []*model.Stream) []int {
 
 // placeAll places the streams order indexes, per-stream falling back from
 // spread to ASAP placement before failing. Only a spread attempt can be
-// abandoned half-committed, so only then is an undo log kept: the slot
-// counts of the links on that one stream's path, truncated on fallback.
+// abandoned half-committed, so only then is an undo log kept: for each link
+// on that one stream's path, its group count and every group's length,
+// truncated on fallback.
 func (t *slotTable) placeAll(order []int, spread bool) error {
 	var undo []int
 	for _, si := range order {
@@ -141,13 +214,24 @@ func (t *slotTable) placeAll(order []int, spread bool) error {
 		if spread {
 			undo = undo[:0]
 			for i := range hops {
-				undo = append(undo, len(t.placed[hops[i].link]))
+				groups := t.placed[hops[i].link]
+				undo = append(undo, len(groups))
+				for _, g := range groups {
+					undo = append(undo, len(g.slots))
+				}
 			}
 		}
 		err := t.placeStream(si, spread)
 		if err != nil && spread {
+			u := undo
 			for i := range hops {
-				t.placed[hops[i].link] = t.placed[hops[i].link][:undo[i]]
+				n := u[0]
+				groups := t.placed[hops[i].link][:n]
+				for gi := range groups {
+					groups[gi].slots = groups[gi].slots[:u[1+gi]]
+				}
+				t.placed[hops[i].link] = groups
+				u = u[1+n:]
 			}
 			err = t.placeStream(si, false)
 		}
@@ -182,7 +266,7 @@ func (t *slotTable) placeStream(si int, spread bool) error {
 				upIdx := upstreamIndex(j, h.count, up.count)
 				lb = max(lb, t.vphi[up.base+upIdx]+up.frameLen(s, upIdx)+up.prop)
 			}
-			v, ok := t.findSlot(h.link, s, inst.isReserveIndex(s, j), lb, h.frameLen(s, j), period)
+			v, ok := t.findSlot(h.link, t.frameClass(s, j), lb, h.frameLen(s, j), period)
 			if !ok {
 				return &PlaceFailure{Stream: s.ID, Frame: j, Link: h.lid,
 					Reason: "no free slot"}
@@ -219,9 +303,10 @@ func (e *PlaceFailure) Unwrap() error { return ErrInfeasible }
 
 // findSlot returns the earliest virtual time v >= lb such that the frame's
 // periodic instances (at (v mod period) + n·period) do not overlap any
-// incompatible reservation on the link and the slot does not straddle a
-// period boundary. It gives up after scanning one full period without a fit.
-func (t *slotTable) findSlot(link int, s *model.Stream, reserve bool, lb, length, period int64) (int64, bool) {
+// reservation on the link its class c may not overlap, and the slot does not
+// straddle a period boundary. It gives up after scanning one full period
+// without a fit.
+func (t *slotTable) findSlot(link int, c slotClass, lb, length, period int64) (int64, bool) {
 	v := lb
 	for {
 		if v-lb > period {
@@ -232,7 +317,7 @@ func (t *slotTable) findSlot(link int, s *model.Stream, reserve bool, lb, length
 			v += period - off // skip to next period start
 			continue
 		}
-		next, _ := t.clearOffsets(link, s, reserve, off, length, period)
+		next, _ := t.clearOffsets(link, c, off, length, period)
 		if next == off {
 			return v, true
 		}
@@ -240,33 +325,50 @@ func (t *slotTable) findSlot(link int, s *model.Stream, reserve bool, lb, length
 	}
 }
 
-// clearOffsets scans the link's reservations incompatible with a frame of s at
-// periodic offset off, over the pairwise hyperperiod, and returns the
-// offsets that clear every overlapping busy instance: next starts the frame
-// at the latest end among them, prev ends it at the earliest start. Both
-// equal off when nothing overlaps.
-func (t *slotTable) clearOffsets(link int, s *model.Stream, reserve bool, off, length, period int64) (next, prev int64) {
+// clearOffsets checks a frame of class c at periodic offset off (both the
+// frame and every reservation lie inside their periods) against the link's
+// groups c may not overlap, and returns the offsets that clear every
+// overlapping busy instance: next starts the frame at the latest end among
+// them, prev ends it at the earliest start. Both equal off when nothing
+// overlaps.
+//
+// Against a reservation (b, Lb, Q), the start distances b+yQ - (off+xP)
+// of all instance pairs are exactly the d ≡ b-off (mod gcd(P, Q)), and a
+// pair overlaps iff -Lb < d < length. So the latest end is off+Lb+max d and
+// the earliest start off-length+min d, over that residue class in that
+// window: no walk over the pairwise hyperperiod.
+func (t *slotTable) clearOffsets(link int, c slotClass, off, length, period int64) (next, prev int64) {
 	next, prev = off, off
-	for _, ps := range t.placed[link] {
-		if slotsCanOverlap(s, ps.stream, reserve, ps.reserve, t.inst.opts.SharedReserves) {
+	for gi := range t.placed[link] {
+		grp := &t.placed[link][gi]
+		if classesCanOverlap(c, grp.class) {
 			continue
 		}
-		hyper := model.LCM(period, ps.period)
-		nx, ny := hyper/period, hyper/ps.period
-		for x := int64(0); x < nx; x++ {
-			a0 := off + x*period
-			a1 := a0 + length
-			for y := int64(0); y < ny; y++ {
-				b0 := ps.offset + y*ps.period
-				be := b0 + ps.length
-				if a0 < be && b0 < a1 {
-					next = max(next, be-x*period)
-					prev = min(prev, b0-x*period-length)
-				}
+		for _, ps := range grp.slots {
+			g := ps.period
+			if g != period {
+				g = model.GCD(period, g)
 			}
+			r := floorMod(ps.offset-off, g)
+			dmax := length - 1 - floorMod(length-1-r, g)
+			if dmax <= -ps.length {
+				continue // no d of the class in (-Lb, length)
+			}
+			dmin := 1 - ps.length + floorMod(r+ps.length-1, g)
+			next = max(next, off+ps.length+dmax)
+			prev = min(prev, off-length+dmin)
 		}
 	}
 	return next, prev
+}
+
+// floorMod is a mod m in [0, m) for m > 0.
+func floorMod(a, m int64) int64 {
+	r := a % m
+	if r < 0 {
+		r += m
+	}
+	return r
 }
 
 // streamPhase derives a deterministic placement phase in [0, period/2) from

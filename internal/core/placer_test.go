@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"hash/fnv"
+	"math/rand"
 	"runtime"
 	"testing"
 	"time"
@@ -110,7 +111,11 @@ func TestSpreadFallbackLeavesNoSlots(t *testing.T) {
 		}
 	}
 	for li, w := range perLink {
-		if got := len(tab.placed[li]); got != w {
+		got := 0
+		for _, g := range tab.placed[li] {
+			got += len(g.slots)
+		}
+		if got != w {
 			t.Errorf("link %d holds %d reservations, want %d", li, got, w)
 		}
 	}
@@ -220,4 +225,140 @@ func TestPlacerAllocScaling(t *testing.T) {
 		t.Fatalf("solvePlacer allocates %d B at 2200 streams, %d B at 1100: %.2fx, want <= 2.5x",
 			full, half, ratio)
 	}
+}
+
+// overlapCase is one frame kind for the conflict-group tables: a stream and
+// whether the frame is reserve capacity.
+type overlapCase struct {
+	s       *model.Stream
+	reserve bool
+}
+
+// overlapCases enumerates {Det, Prob} x Share x reserve for one Parent.
+func overlapCases(parent model.StreamID) []overlapCase {
+	var out []overlapCase
+	for _, typ := range []model.StreamType{model.StreamDet, model.StreamProb} {
+		for _, share := range []bool{false, true} {
+			for _, reserve := range []bool{false, true} {
+				s := &model.Stream{ID: model.StreamID(fmt.Sprintf("%v-%v-%v", typ, share, reserve)),
+					Type: typ, Share: share, Parent: parent}
+				out = append(out, overlapCase{s: s, reserve: reserve})
+			}
+		}
+	}
+	return out
+}
+
+// TestConflictGroupsMatchSlotsCanOverlap holds the group rule to the
+// frame-level one on every combination of both frames' kind, Share, reserve
+// flag and Parent, under both SharedReserves settings.
+func TestConflictGroupsMatchSlotsCanOverlap(t *testing.T) {
+	rows := 0
+	for _, shared := range []bool{false, true} {
+		for _, sameParent := range []bool{false, true} {
+			other := model.StreamID("e2")
+			if sameParent {
+				other = "e1"
+			}
+			for _, a := range overlapCases("e1") {
+				for _, b := range overlapCases(other) {
+					rows++
+					want := slotsCanOverlap(a.s, b.s, a.reserve, b.reserve, shared)
+					got := classesCanOverlap(classOf(a.s, a.reserve, shared), classOf(b.s, b.reserve, shared))
+					if got != want {
+						t.Errorf("%s (reserve %v) vs %s (reserve %v), same parent %v, SharedReserves %v: groups say %v, slotsCanOverlap %v",
+							a.s.ID, a.reserve, b.s.ID, b.reserve, sameParent, shared, got, want)
+					}
+				}
+			}
+		}
+	}
+	if rows != 256 {
+		t.Fatalf("table has %d rows, want 256", rows)
+	}
+}
+
+// oracleSlot is a reservation as the oracle scan sees it: the stream it
+// belongs to and its reserve flag, not a conflict group.
+type oracleSlot struct {
+	placedSlot
+	s       *model.Stream
+	reserve bool
+}
+
+// clearOffsetsOracle is the conflict scan the slot table's groups and
+// closed form replace: every reservation on the link, checked against
+// slotsCanOverlap, then every instance pair over the pairwise hyperperiod.
+func clearOffsetsOracle(placed []oracleSlot, s *model.Stream, reserve, sharedReserves bool, off, length, period int64) (next, prev int64) {
+	next, prev = off, off
+	for _, ps := range placed {
+		if slotsCanOverlap(s, ps.s, reserve, ps.reserve, sharedReserves) {
+			continue
+		}
+		hyper := model.LCM(period, ps.period)
+		nx, ny := hyper/period, hyper/ps.period
+		for x := int64(0); x < nx; x++ {
+			a0 := off + x*period
+			a1 := a0 + length
+			for y := int64(0); y < ny; y++ {
+				b0 := ps.offset + y*ps.period
+				be := b0 + ps.length
+				if a0 < be && b0 < a1 {
+					next = max(next, be-x*period)
+					prev = min(prev, b0-x*period-length)
+				}
+			}
+		}
+	}
+	return next, prev
+}
+
+// FuzzClearOffsets holds clearOffsets to the oracle scan on random link
+// tables: every conflict group (exclusive, shared, keyed reserves, keyed
+// possibilities), divisor-rich and co-prime periods, and frame lengths from
+// one unit up to the whole period.
+func FuzzClearOffsets(f *testing.F) {
+	for _, seed := range []int64{0, 1, 7, 42, 60802, -3, 1 << 40} {
+		f.Add(seed, false)
+		f.Add(seed, true)
+	}
+	periods := []int64{12, 24, 36, 48, 60, 120, 7, 11, 13, 25}
+	streams := []*model.Stream{
+		{ID: "tct", Type: model.StreamDet},
+		{ID: "share", Type: model.StreamDet, Share: true},
+		{ID: "drain:e1", Type: model.StreamDet, Share: true, Parent: "e1"},
+		{ID: "drain:e2", Type: model.StreamDet, Share: true, Parent: "e2"},
+		{ID: "e1#0", Type: model.StreamProb, Parent: "e1"},
+		{ID: "e2#0", Type: model.StreamProb, Parent: "e2"},
+	}
+	f.Fuzz(func(t *testing.T, seed int64, sharedReserves bool) {
+		rng := rand.New(rand.NewSource(seed))
+		frame := func() (s *model.Stream, reserve bool, ps placedSlot) {
+			s, reserve = streams[rng.Intn(len(streams))], rng.Intn(2) == 0
+			ps.period = periods[rng.Intn(len(periods))]
+			ps.length = 1 + rng.Int63n(ps.period)
+			if rng.Intn(4) == 0 {
+				ps.length = 1 + rng.Int63n(3) // short frames leave gaps to land in
+			}
+			ps.offset = rng.Int63n(ps.period - ps.length + 1)
+			return s, reserve, ps
+		}
+		tab := &slotTable{inst: &instance{opts: Options{SharedReserves: sharedReserves}},
+			placed: make([][]slotGroup, 1)}
+		var oracle []oracleSlot
+		for n := rng.Intn(24); n > 0; n-- {
+			s, reserve, ps := frame()
+			tab.add(0, classOf(s, reserve, sharedReserves), ps)
+			oracle = append(oracle, oracleSlot{placedSlot: ps, s: s, reserve: reserve})
+		}
+		for q := 0; q < 16; q++ {
+			s, reserve, ps := frame()
+			next, prev := tab.clearOffsets(0, classOf(s, reserve, sharedReserves), ps.offset, ps.length, ps.period)
+			wantNext, wantPrev := clearOffsetsOracle(oracle, s, reserve, sharedReserves, ps.offset, ps.length, ps.period)
+			if next != wantNext || prev != wantPrev {
+				t.Fatalf("%s (reserve %v) at %+v against %d slots: (next, prev) = (%d, %d), oracle (%d, %d)",
+					s.ID, reserve, ps, len(oracle), next, prev, wantNext, wantPrev)
+			}
+		}
+	})
 }

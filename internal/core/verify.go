@@ -62,18 +62,33 @@ func Verify(network *model.Network, res *Result) []Violation {
 // alias one backing array per link.
 type slotIndex map[model.LinkID]map[model.StreamID][]model.FrameSlot
 
+// streamKey is one slot's (Stream, Index) sort key and its position on the
+// link: buildSlotIndex sorts these and copies each FrameSlot once.
+type streamKey struct {
+	stream model.StreamID
+	index  int
+	pos    int
+}
+
 func buildSlotIndex(sched *model.Schedule) slotIndex {
 	idx := make(slotIndex)
+	var keys []streamKey
 	for _, lid := range sched.Links() {
 		src := sched.SlotsOn(lid)
-		buf := make([]model.FrameSlot, len(src))
-		copy(buf, src)
-		slices.SortFunc(buf, func(a, b model.FrameSlot) int {
-			if c := cmp.Compare(a.Stream, b.Stream); c != 0 {
+		keys = keys[:0]
+		for i := range src {
+			keys = append(keys, streamKey{stream: src[i].Stream, index: src[i].Index, pos: i})
+		}
+		slices.SortFunc(keys, func(a, b streamKey) int {
+			if c := cmp.Compare(a.stream, b.stream); c != 0 {
 				return c
 			}
-			return cmp.Compare(a.Index, b.Index)
+			return cmp.Compare(a.index, b.index)
 		})
+		buf := make([]model.FrameSlot, len(src))
+		for i, k := range keys {
+			buf[i] = src[k.pos]
+		}
 		m := make(map[model.StreamID][]model.FrameSlot)
 		start := 0
 		for i := 1; i <= len(buf); i++ {

@@ -106,17 +106,58 @@ func (s *Schedule) AddStream(st *Stream) { s.Streams[st.ID] = st }
 func (s *Schedule) AddSlot(fs FrameSlot) { s.slots[fs.Link] = append(s.slots[fs.Link], fs) }
 
 // Sort orders every link's slots by offset (ties by stream then index).
+// It sorts small (Offset, position) keys and then permutes each link's
+// slots once, in place: sorting the slots themselves would move every
+// FrameSlot value O(log n) times. (Stream, Index) is unique per link, so
+// the order is total and does not depend on the sort algorithm.
 func (s *Schedule) Sort() {
+	var keys []slotKey
 	for _, slots := range s.slots {
-		slices.SortFunc(slots, func(a, b FrameSlot) int {
-			if c := cmp.Compare(a.Offset, b.Offset); c != 0 {
+		keys = keys[:0]
+		for i := range slots {
+			keys = append(keys, slotKey{offset: slots[i].Offset, pos: i})
+		}
+		slices.SortFunc(keys, func(a, b slotKey) int {
+			if c := cmp.Compare(a.offset, b.offset); c != 0 {
 				return c
 			}
-			if c := cmp.Compare(a.Stream, b.Stream); c != 0 {
+			x, y := &slots[a.pos], &slots[b.pos]
+			if c := cmp.Compare(x.Stream, y.Stream); c != 0 {
 				return c
 			}
-			return cmp.Compare(a.Index, b.Index)
+			return cmp.Compare(x.Index, y.Index)
 		})
+		permute(slots, keys)
+	}
+}
+
+// slotKey is one slot's sort key: its offset and its position in the
+// link's slot slice.
+type slotKey struct {
+	offset int64
+	pos    int
+}
+
+// permute reorders slots in place so that slot i becomes the one keys[i]
+// points at, moving each value once per cycle of the permutation. It
+// consumes keys: every visited pos is overwritten with its own index.
+func permute(slots []FrameSlot, keys []slotKey) {
+	for i := range keys {
+		if keys[i].pos == i {
+			continue
+		}
+		tmp := slots[i]
+		j := i
+		for {
+			k := keys[j].pos
+			keys[j].pos = j
+			if k == i {
+				slots[j] = tmp
+				break
+			}
+			slots[j] = slots[k]
+			j = k
+		}
 	}
 }
 

@@ -1,6 +1,10 @@
 package model
 
 import (
+	"cmp"
+	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -85,6 +89,40 @@ func TestScheduleSortAndQuery(t *testing.T) {
 	}
 	if links := s.Links(); len(links) != 1 || links[0] != link {
 		t.Fatalf("Links = %v", links)
+	}
+}
+
+// TestScheduleSortMatchesValueSort holds the key sort and in-place
+// permutation to a plain sort of the FrameSlot values, on links crowded
+// with offset ties that only (Stream, Index) breaks.
+func TestScheduleSortMatchesValueSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 50; trial++ {
+		s := NewSchedule()
+		want := make(map[LinkID][]FrameSlot)
+		for _, link := range []LinkID{{From: "a", To: "b"}, {From: "b", To: "a"}} {
+			for i, n := 0, rng.Intn(40); i < n; i++ {
+				fs := FrameSlot{Stream: StreamID(fmt.Sprintf("s%d", rng.Intn(5))), Link: link,
+					Index: i, Offset: int64(rng.Intn(6)), Length: 1, Period: 10}
+				s.AddSlot(fs)
+				want[link] = append(want[link], fs)
+			}
+			slices.SortFunc(want[link], func(a, b FrameSlot) int {
+				if c := cmp.Compare(a.Offset, b.Offset); c != 0 {
+					return c
+				}
+				if c := cmp.Compare(a.Stream, b.Stream); c != 0 {
+					return c
+				}
+				return cmp.Compare(a.Index, b.Index)
+			})
+		}
+		s.Sort()
+		for link, w := range want {
+			if got := s.SlotsOn(link); !slices.Equal(got, w) {
+				t.Fatalf("trial %d, %v: Sort gave %+v, want %+v", trial, link, got, w)
+			}
+		}
 	}
 }
 

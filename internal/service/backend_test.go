@@ -43,7 +43,7 @@ func TestSubmitBackendDefaultsToRace(t *testing.T) {
 	if !strings.Contains(effective, `"backend":"cascade"`) {
 		t.Fatalf("effective config does not journal the cascade default: %s", effective)
 	}
-	if v := s.reg.CounterValue("etsn_backend_races_total"); v == 0 {
+	if v := s.reg.CounterValue("etsn_backend_cascades_total"); v == 0 {
 		t.Fatal("plan job did not run the cascade")
 	}
 	s.Shutdown()

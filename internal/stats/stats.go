@@ -44,7 +44,7 @@ func Summarize(samples []time.Duration) Summary {
 	var sq float64
 	for _, x := range samples {
 		d := float64(x) - mean
-		sq += d * d
+		sq += float64(d * d) // rounded product: no fused multiply-add on any host
 	}
 	s.StdDev = time.Duration(math.Sqrt(sq / float64(len(samples))))
 	return s
@@ -64,7 +64,7 @@ func Quantile(samples []time.Duration, q float64) time.Duration {
 	if q >= 1 {
 		return sorted[len(sorted)-1]
 	}
-	pos := q * float64(len(sorted)-1)
+	pos := float64(q * float64(len(sorted)-1)) // rounded, not fused into frac
 	lo := int(pos)
 	frac := pos - float64(lo)
 	if lo+1 >= len(sorted) {

@@ -9,7 +9,8 @@
 # committed golden report), the end-to-end daemon gate (etsn-cncd under
 # overload and a SIGKILL mid-solve must recover from its journal), the
 # dashboard gate (etsn-sim -dash must serve schema-valid /api/metrics and
-# /api/trend documents and drain cleanly on SIGTERM), and a
+# /api/trend documents and drain cleanly on SIGTERM), an arm64 assembly
+# check that internal/stats compiles without fused multiply-adds, and a
 # short fuzz smoke over the corpus seeds of every fuzz target. Each bench
 # refresh appends its headline wall time to bench/history.jsonl so
 # regressions are visible across runs. The last step prints the two size
@@ -31,6 +32,19 @@ go vet ./...
 
 echo "==> go build ./..."
 go build ./...
+
+echo "==> no fused multiply-add in internal/stats (GOARCH=arm64 assembly)"
+# On arm64 the compiler may fuse x*y+z into one FMADD/FMSUB, which rounds
+# once where amd64 rounds twice, so summaries and quantiles would depend on
+# the host. internal/stats forces each product's rounding with an explicit
+# float64(...) conversion; this step fails if a fused instruction comes
+# back. internal/sim is left out for now: the credit-based shaper's float
+# credit still fuses until it moves to integer credit (ROADMAP item 4).
+STATS_ASM="$(GOARCH=arm64 go build -gcflags=-S ./internal/stats 2>&1)"
+if printf '%s\n' "$STATS_ASM" | grep -E 'FMADD|FMSUB|FNMADD|FNMSUB'; then
+    echo "internal/stats compiles to fused multiply-add on arm64" >&2
+    exit 1
+fi
 
 echo "==> go test -race ./..."
 go test -race ./...
@@ -137,6 +151,7 @@ go test ./internal/qcc/ -run=^$ -fuzz=FuzzParseDeployment -fuzztime="$FUZZTIME"
 go test ./internal/qcc/ -run=^$ -fuzz=FuzzExportStreamIDs -fuzztime="$FUZZTIME"
 go test ./internal/smt/ -run=^$ -fuzz=FuzzSolve -fuzztime="$FUZZTIME"
 go test ./internal/sim/ -run=^$ -fuzz=FuzzFrameLifecycle -fuzztime="$FUZZTIME"
+go test ./internal/core/ -run=^$ -fuzz=FuzzClearOffsets -fuzztime="$FUZZTIME"
 
 echo "==> differential fuzz smoke (CDCL vs reference, ${DIFF_FUZZTIME})"
 go test ./internal/smt/ -run=^$ -fuzz=FuzzDifferential -fuzztime="$DIFF_FUZZTIME"
