@@ -15,6 +15,11 @@ func DefaultCascade() []Backend {
 	return []Backend{BackendPlacer, BackendGreedy, BackendSMTIncremental}
 }
 
+// stageHook, when set, rewrites the instance the cascade's stages solve.
+// It is nil outside tests, which set it to hand every stage an instance
+// whose plans the verifier must reject.
+var stageHook func(*instance)
+
 // solveCascade walks the priority list one backend at a time and returns
 // the first plan that passes the independent verifier, so a heuristic bug
 // can never ship an invalid schedule — a rejected plan just counts as that
@@ -31,6 +36,9 @@ func solveCascade(ctx context.Context, inst *instance) (*Result, error) {
 		}
 	}
 	inst.opts.Obs.Counter("etsn_backend_cascades_total").Inc()
+	if stageHook != nil {
+		stageHook(inst)
+	}
 	res, errs := runStages(ctx, inst, order, true)
 	if res != nil {
 		inst.opts.Obs.Counter(`etsn_backend_wins_total{backend="` + res.BackendUsed.String() + `"}`).Inc()
@@ -81,6 +89,8 @@ func runStages(ctx context.Context, inst *instance, order []Backend, verify bool
 				inst.opts.Obs.Counter(`etsn_backend_verify_rejects_total{backend="` + b.String() + `"}`).Inc()
 				err = fmt.Errorf("%w: cascade: backend %v plan rejected by verifier (%d violations, first: %s)",
 					ErrBudget, b, len(vs), vs[0])
+			} else {
+				res.Verified = true
 			}
 		}
 		if err == nil {

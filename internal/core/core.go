@@ -233,6 +233,11 @@ type Result struct {
 	SharedReserves bool
 	// SolverStats carries SMT effort counters when the SMT backend ran.
 	SolverStats SolverStats
+	// Verified reports that the cascade checked this plan with Verify
+	// against the problem's network and found no violation. Callers that
+	// would verify the same plan on the same network skip their own check
+	// when it is set; results of every other backend leave it false.
+	Verified bool
 }
 
 // SolverStats summarizes SMT search effort, accumulated over every

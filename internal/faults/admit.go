@@ -114,7 +114,7 @@ func (c *Controller) Admit(newTCT []*model.Stream, newECT []*model.ECT) (*Recove
 		c.Obs.Counter(`etsn_faults_admissions_total{mode="full"}`).Inc()
 	}
 
-	gcls, err := gcl.Synthesize(res.Schedule, c.GCL)
+	gcls, err := gcl.Resynthesize(c.result.Schedule, c.gcls, res.Schedule, c.GCL)
 	if err != nil {
 		return nil, fmt.Errorf("admission GCL synthesis: %w", err)
 	}

@@ -88,8 +88,9 @@ type Controller struct {
 	// deployed problem's backend. The scheduling daemon sets it from the
 	// admit request's backend field.
 	ReplanBackend core.Backend
-	// GCL configures gate synthesis for recovered schedules; it should
-	// match the deployed plan's synthesis config.
+	// GCL configures gate synthesis for recovered schedules; it must match
+	// the deployed plan's synthesis config, because a recovery keeps the
+	// deployed program of every port whose slots did not move.
 	GCL gcl.Config
 	// Obs, when non-nil, counts recovery activity: replans by mode,
 	// scheduling attempts, backoff waits, and shed streams.
@@ -213,7 +214,7 @@ func (c *Controller) replan(tryIncremental bool) (*Recovery, error) {
 		c.Obs.Counter(`etsn_faults_replans_total{mode="incremental"}`).Inc()
 	}
 
-	gcls, err := gcl.Synthesize(res.Schedule, c.GCL)
+	gcls, err := gcl.Resynthesize(c.result.Schedule, c.gcls, res.Schedule, c.GCL)
 	if err != nil {
 		return nil, fmt.Errorf("recovery GCL synthesis: %w", err)
 	}
@@ -421,9 +422,12 @@ func (c *Controller) full(base *core.Problem, reduced *model.Network, rec *Recov
 		}
 		res, routed, err := core.ScheduleWithRouting(p, c.KPaths)
 		if err == nil {
-			if vs := core.Verify(reduced, res); len(vs) > 0 {
-				return nil, nil, fmt.Errorf("%w: full replan failed verification: %v",
-					ErrUnrecoverable, vs[0])
+			// A cascade plan was verified on p.Network, which is reduced.
+			if !res.Verified {
+				if vs := core.Verify(reduced, res); len(vs) > 0 {
+					return nil, nil, fmt.Errorf("%w: full replan failed verification: %v",
+						ErrUnrecoverable, vs[0])
+				}
 			}
 			rec.ShedTCT = sortedIDs(shedTCT)
 			return routed, res, nil

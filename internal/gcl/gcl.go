@@ -170,12 +170,31 @@ func (c Config) withDefaults() Config {
 // (superposition slots), shared TCT slots additionally open the ECT gate
 // when configured, and unallocated time opens the configured default gates.
 func Synthesize(sched *model.Schedule, cfg Config) (map[model.LinkID]*PortGCL, error) {
+	return Resynthesize(nil, nil, sched, cfg)
+}
+
+// Resynthesize is Synthesize for a schedule that replaces a deployed one:
+// prev must be Synthesize(prevSched, cfg). A port's program depends only on
+// its link's slots, the hyperperiod and the time unit behind those slots,
+// so every link whose three are unchanged keeps prev's *PortGCL and only
+// the rest are compiled. The result equals Synthesize(sched, cfg), and
+// ChangedPorts against prev skips the reused ports by pointer. Programs are
+// never modified after synthesis, so sharing them between the two maps is
+// safe. A nil prevSched compiles every link.
+func Resynthesize(prevSched *model.Schedule, prev map[model.LinkID]*PortGCL, sched *model.Schedule, cfg Config) (map[model.LinkID]*PortGCL, error) {
 	cfg = cfg.withDefaults()
 	if sched.Hyperperiod <= 0 {
 		return nil, fmt.Errorf("%w: non-positive hyperperiod %v", ErrBadSchedule, sched.Hyperperiod)
 	}
+	reuse := prevSched != nil && prevSched.Hyperperiod == sched.Hyperperiod
 	out := make(map[model.LinkID]*PortGCL)
 	for _, lid := range sched.Links() {
+		if reuse {
+			if g := prev[lid]; g != nil && sameLink(prevSched, sched, lid) {
+				out[lid] = g
+				continue
+			}
+		}
 		gcl, err := synthesizeLink(sched, lid, cfg)
 		if err != nil {
 			return nil, err
@@ -183,6 +202,13 @@ func Synthesize(sched *model.Schedule, cfg Config) (map[model.LinkID]*PortGCL, e
 		out[lid] = gcl
 	}
 	return out, nil
+}
+
+// sameLink reports whether a link's slots and their time unit are the same
+// in both schedules, so its synthesized program is too.
+func sameLink(a, b *model.Schedule, lid model.LinkID) bool {
+	sa, sb := a.SlotsOn(lid), b.SlotsOn(lid)
+	return slices.Equal(sa, sb) && unitOf(a, sa) == unitOf(b, sb)
 }
 
 // event is a +mask/-mask boundary in the unit timeline.
@@ -356,10 +382,14 @@ func ChangedPorts(old, new map[model.LinkID]*PortGCL) []model.LinkID {
 	return out
 }
 
-// samePrograms compares two gate programs entry by entry.
+// samePrograms compares two gate programs entry by entry; a program reused
+// by Resynthesize compares by pointer.
 func samePrograms(a, b *PortGCL) bool {
+	if a == b {
+		return true
+	}
 	if a == nil || b == nil {
-		return a == b
+		return false
 	}
 	if a.Cycle != b.Cycle || len(a.Entries) != len(b.Entries) {
 		return false

@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -38,8 +39,12 @@ func TestSubmitBackendDefaultsToRace(t *testing.T) {
 	}
 	ten := s.tenantGet("acme")
 	ten.mu.Lock()
-	effective := string(ten.effective)
+	raw, err := json.Marshal(ten.effective)
 	ten.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	effective := string(raw)
 	if !strings.Contains(effective, `"backend":"cascade"`) {
 		t.Fatalf("effective config does not journal the cascade default: %s", effective)
 	}

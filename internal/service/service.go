@@ -138,10 +138,17 @@ type tenant struct {
 	// linear history, two concurrent solves for one tenant make no sense.
 	execMu sync.Mutex
 
-	mu        sync.Mutex
-	inflight  int // queued + running jobs (admission control)
-	versions  []*PlanVersion
-	effective []byte // cumulative config JSON producing the latest version
+	mu       sync.Mutex
+	inflight int // queued + running jobs (admission control)
+	versions []*PlanVersion
+	// effective is the cumulative config producing the latest version,
+	// exactly as journaled. A commit builds the next one beside it and
+	// never modifies it. Nil after a journal replay until liveController
+	// parses replayed.
+	effective *qcc.Config
+	// replayed is the latest version's journaled effective config, kept
+	// raw after a replay until its first use.
+	replayed json.RawMessage
 	// programs are the gate programs of the latest version, the base of the
 	// next commit's rollout set. Nil after a journal replay until the first
 	// commit, which parses them out of the stored export.
@@ -264,7 +271,7 @@ func (s *Server) restore(st *replayState) error {
 				ShedTCT:      rec.ShedTCT,
 				ShedBE:       rec.ShedBE,
 			})
-			t.effective = rec.Effective
+			t.replayed = rec.Effective
 		}
 	}
 	return nil
@@ -582,19 +589,22 @@ func (s *Server) runPlanJob(t *tenant, job *Job) error {
 	if err != nil {
 		return err
 	}
-	if ms := job.Deadline.Milliseconds(); ms > 0 {
-		cfg.Options.TimeoutMs = ms
-	}
 	applyBackendPolicy(cfg)
-	cfg.Obs = s.reg
+	// The deadline and the registry go to the solver's copy only: cfg
+	// becomes the journaled effective config, which carries neither.
+	run := *cfg
+	if ms := job.Deadline.Milliseconds(); ms > 0 {
+		run.Options.TimeoutMs = ms
+	}
+	run.Obs = s.reg
 
 	shed := make(map[string]bool)
 	attempt := 0
 	for {
 		job.addAttempt()
-		dep, err := qcc.Compute(configWithout(cfg, shed))
+		dep, err := qcc.Compute(configWithout(&run, shed))
 		if err == nil {
-			return s.commitPlan(t, job, dep, shed, nil)
+			return s.commitPlan(t, job, cfg, dep, shed, nil)
 		}
 		switch Classify(err) {
 		case ClassTimeout:
@@ -739,27 +749,30 @@ func (s *Server) runAdmitJob(t *tenant, job *Job) error {
 
 // liveController returns the tenant's live deployment controller,
 // rebuilding it deterministically from the journaled effective
-// configuration after a restart.
+// configuration after a restart. The rebuild parses that configuration
+// once and keeps it as the tenant's effective config.
 func (s *Server) liveController(t *tenant) (*faults.Controller, error) {
 	t.mu.Lock()
 	ctrl := t.ctrl
-	effective := t.effective
+	replayed := t.replayed
 	t.mu.Unlock()
 	if ctrl != nil {
 		return ctrl, nil
 	}
-	if len(effective) == 0 {
+	if len(replayed) == 0 {
 		return nil, fmt.Errorf("%w: tenant %q", ErrNoPlan, t.name)
 	}
-	cfg, err := qcc.Parse(effective)
+	cfg, err := qcc.Parse(replayed)
 	if err != nil {
 		return nil, fmt.Errorf("rebuilding live plan: %w", err)
 	}
 	// New-format effective configs journal the backend explicitly; the
-	// policy here only upgrades pre-backend journals, deterministically.
-	applyBackendPolicy(cfg)
-	cfg.Obs = s.reg
-	dep, err := qcc.Compute(cfg)
+	// policy here only upgrades pre-backend journals, deterministically,
+	// and only in the solver's copy: the kept config stays as journaled.
+	run := *cfg
+	applyBackendPolicy(&run)
+	run.Obs = s.reg
+	dep, err := qcc.Compute(&run)
 	if err != nil {
 		return nil, fmt.Errorf("rebuilding live plan: %w", err)
 	}
@@ -770,21 +783,18 @@ func (s *Server) liveController(t *tenant) (*faults.Controller, error) {
 	ctrl.Obs = s.reg
 	t.mu.Lock()
 	t.ctrl = ctrl
+	t.effective = cfg
+	t.replayed = nil
 	t.mu.Unlock()
 	return ctrl, nil
 }
 
-// commitPlan records a fresh full plan as the tenant's next version. The
-// effective config drops the shed streams, so a restart rebuilds exactly
-// the deployed plan.
-func (s *Server) commitPlan(t *tenant, job *Job, dep *qcc.Deployment, shed map[string]bool, shedBE []string) error {
-	cfg, err := qcc.Parse(job.Payload)
-	if err != nil {
-		return err
-	}
-	applyBackendPolicy(cfg)
+// commitPlan records a fresh full plan as the tenant's next version. cfg is
+// the job's parsed configuration with the backend policy applied; the
+// effective config is cfg minus the shed streams, so a restart rebuilds
+// exactly the deployed plan.
+func (s *Server) commitPlan(t *tenant, job *Job, cfg *qcc.Config, dep *qcc.Deployment, shed map[string]bool, shedBE []string) error {
 	effectiveCfg := configWithout(cfg, shed)
-	effectiveCfg.Obs, effectiveCfg.Phases = nil, nil
 	effective, err := json.Marshal(effectiveCfg)
 	if err != nil {
 		return err
@@ -807,7 +817,8 @@ func (s *Server) commitPlan(t *tenant, job *Job, dep *qcc.Deployment, shed map[s
 	// No previous version: every port changed, the first rollout.
 	pv.ChangedPorts = linkStrings(gcl.ChangedPorts(prev, dep.GCLs))
 	t.versions = append(t.versions, pv)
-	t.effective = effective
+	t.effective = effectiveCfg
+	t.replayed = nil
 	t.programs = dep.GCLs
 	t.ctrl = ctrl
 	t.mu.Unlock()
@@ -817,16 +828,14 @@ func (s *Server) commitPlan(t *tenant, job *Job, dep *qcc.Deployment, shed map[s
 
 // commitAdmit records an admission recovery as the tenant's next version
 // and extends the effective config with the admitted streams (minus any
-// deployed TCT the ladder shed to make room).
+// deployed TCT the ladder shed to make room). The tenant's effective config
+// is set: runAdmitJob went through liveController first.
 func (s *Server) commitAdmit(t *tenant, job *Job, req *AdmitRequest, rec *faults.Recovery) error {
 	t.mu.Lock()
-	effective := t.effective
+	next := *t.effective
 	t.mu.Unlock()
-	cfg, err := qcc.Parse(effective)
-	if err != nil {
-		return err
-	}
-	cfg.Streams = append(cfg.Streams, req.Streams...)
+	// Clip makes the append copy: the committed config keeps its streams.
+	next.Streams = append(slices.Clip(next.Streams), req.Streams...)
 	shed := make(map[string]bool, len(rec.ShedTCT)+len(rec.ShedBE))
 	shedTCT := make([]string, 0, len(rec.ShedTCT))
 	for _, id := range rec.ShedTCT {
@@ -838,7 +847,8 @@ func (s *Server) commitAdmit(t *tenant, job *Job, req *AdmitRequest, rec *faults
 		shed[string(id)] = true
 		shedBE = append(shedBE, string(id))
 	}
-	newEffective, err := json.Marshal(configWithout(cfg, shed))
+	effectiveCfg := configWithout(&next, shed)
+	newEffective, err := json.Marshal(effectiveCfg)
 	if err != nil {
 		return err
 	}
@@ -853,7 +863,7 @@ func (s *Server) commitAdmit(t *tenant, job *Job, req *AdmitRequest, rec *faults
 	t.mu.Lock()
 	pv.Version = nextVersion(t.versions)
 	t.versions = append(t.versions, pv)
-	t.effective = newEffective
+	t.effective = effectiveCfg
 	t.programs = rec.GCLs
 	t.mu.Unlock()
 

@@ -49,13 +49,15 @@ fi
 echo "==> go test -race ./..."
 go test -race ./...
 
-echo "==> go test under GOMAXPROCS=1,2,8 (CLI, scheduler, experiments, simulators)"
+echo "==> go test under GOMAXPROCS=1,2,8 (CLI, scheduler, experiments, simulators, daemon, recovery)"
 # The experiment-cell worker pool and the tracer lanes size themselves from
 # GOMAXPROCS; a test that only holds at the width of the machine it was
-# written on has to fail here, not on the next host.
+# written on has to fail here, not on the next host. The daemon's worker
+# pool shares per-tenant state (the parsed effective config, the deployed
+# gate programs) that the recovery controller builds on.
 for procs in 1 2 8; do
     GOMAXPROCS="$procs" go test -count=1 ./cmd/... ./internal/core/... ./internal/experiments/... \
-        ./internal/sim/...
+        ./internal/sim/... ./internal/service/... ./internal/faults/...
 done
 
 echo "==> go test -race ./internal/smt/... (solver core, explicit)"
@@ -152,6 +154,7 @@ go test ./internal/qcc/ -run=^$ -fuzz=FuzzExportStreamIDs -fuzztime="$FUZZTIME"
 go test ./internal/smt/ -run=^$ -fuzz=FuzzSolve -fuzztime="$FUZZTIME"
 go test ./internal/sim/ -run=^$ -fuzz=FuzzFrameLifecycle -fuzztime="$FUZZTIME"
 go test ./internal/core/ -run=^$ -fuzz=FuzzClearOffsets -fuzztime="$FUZZTIME"
+go test ./internal/gcl/ -run=^$ -fuzz=FuzzResynthesize -fuzztime="$FUZZTIME"
 
 echo "==> differential fuzz smoke (CDCL vs reference, ${DIFF_FUZZTIME})"
 go test ./internal/smt/ -run=^$ -fuzz=FuzzDifferential -fuzztime="$DIFF_FUZZTIME"
